@@ -18,14 +18,17 @@
 //
 // Precise units never fault: a disabled (precise-path) class models a unit
 // at nominal voltage, which is exactly why degradation restores fidelity.
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "fault/counters.h"
 #include "fault/injector.h"
 #include "fault/spec.h"
 #include "ihw/dispatch.h"
+#include "ihw/op.h"
 
 namespace ihw::fault {
 
@@ -42,7 +45,6 @@ class GuardedDispatch {
     refresh();
   }
 
-  const FpDispatch& base() const { return base_; }
   FaultCounters& counters() { return counters_; }
   const FaultCounters& counters() const { return counters_; }
 
@@ -74,258 +76,119 @@ class GuardedDispatch {
   }
 
   // --- dispatch surface (mirrors FpDispatch) ------------------------------
-  template <typename T>
-  T add(T a, T b) {
-    if (!screened_) return base_.add(a, b);
-    return screen2(UnitClass::Add, config().add_enabled, a, b,
-                   [&] { return base_.add(a, b); }, [&] { return a + b; });
-  }
-
-  template <typename T>
-  T sub(T a, T b) {
-    if (!screened_) return base_.sub(a, b);
-    return screen2(UnitClass::Add, config().add_enabled, a, b,
-                   [&] { return base_.sub(a, b); }, [&] { return a - b; });
-  }
-
-  template <typename T>
-  T mul(T a, T b) {
-    if (!screened_) return base_.mul(a, b);
-    return screen2(UnitClass::Mul, config().mul_imprecise(), a, b,
-                   [&] { return base_.mul(a, b); }, [&] { return a * b; });
-  }
-
-  template <typename T>
-  T div(T a, T b) {
-    if (!screened_) return base_.div(a, b);
-    return screen2(UnitClass::Div, config().div_enabled, a, b,
-                   [&] { return base_.div(a, b); }, [&] { return a / b; });
-  }
-
-  template <typename T>
-  T rcp(T x) {
-    if (!screened_) return base_.rcp(x);
-    return screen1(UnitClass::Rcp, config().rcp_enabled, x,
-                   [&] { return base_.rcp(x); }, [&] { return T(1) / x; });
-  }
-
-  template <typename T>
-  T rsqrt(T x) {
-    if (!screened_) return base_.rsqrt(x);
-    return screen1(UnitClass::Rsqrt, config().rsqrt_enabled, x,
-                   [&] { return base_.rsqrt(x); },
-                   [&] { return T(1) / std::sqrt(x); });
-  }
-
-  template <typename T>
-  T sqrt(T x) {
-    if (!screened_) return base_.sqrt(x);
-    return screen1(UnitClass::Sqrt, config().sqrt_enabled, x,
-                   [&] { return base_.sqrt(x); },
-                   [&] { return std::sqrt(x); });
-  }
-
-  template <typename T>
-  T log2(T x) {
-    if (!screened_) return base_.log2(x);
-    return screen1(UnitClass::Log2, config().log2_enabled, x,
-                   [&] { return base_.log2(x); },
-                   [&] { return std::log2(x); });
-  }
-
-  template <typename T>
-  T exp2(T x) {
-    if (!screened_) return base_.exp2(x);
-    return screen1(UnitClass::Exp2, config().exp2_enabled, x,
-                   [&] { return base_.exp2(x); },
-                   [&] { return std::exp2(x); });
-  }
-
-  template <typename T>
-  T fma(T a, T b, T c) {
-    if (!screened_) return base_.fma(a, b, c);
-    if (!config().fma_enabled) {
-      // Decompose exactly as the base dispatcher does, but through the
-      // guarded mul/add so each stage is screened as its own unit.
-      return add(mul(a, b), c);
+  /// One operation of class O through the three stages above. Unscreened
+  /// (no faults, no guard) it is FpDispatch::op<O>. An unfused Fma screens
+  /// its mul and add stages as their own units.
+  template <Op O, typename T, typename... Ts>
+  T op(T x, Ts... xs) {
+    if (!screened_) return base_.template op<O>(x, xs...);
+    if constexpr (O == Op::Mac) {
+      return mac(x, xs...);
+    } else {
+      if constexpr (O == Op::Fma)
+        if (!config().fma_enabled) return unfused(x, xs...);
+      return screen<O>(x, xs...);
     }
-    return screen3(UnitClass::Fma, true, a, b, c,
-                   [&] { return base_.fma(a, b, c); },
-                   [&] { return a * b + c; });
   }
 
-  // --- span entry points ---------------------------------------------------
-  // With no faults and no guard (the common case) a span drops straight into
-  // the batched FpDispatch path. A screened span walks the scalar screen
-  // element by element instead: every op then consumes the same per-class
-  // (epoch, op index) label it would under scalar execution, so fault draws
-  // and guard/breaker decisions are bit-identical by construction — batching
-  // only reorders *across* unit classes, and op_idx_ is per class.
-
-  template <typename T>
-  void add_n(const T* a, const T* b, T* out, std::size_t n) {
-    if (!screened_) return base_.add_n(a, b, out, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = add(a[i], b[i]);
+  /// The span form. With no faults and no guard (the common case) a span
+  /// drops straight into the batched FpDispatch path. A screened span walks
+  /// op<O> element by element instead: every op then consumes the same
+  /// per-class (epoch, op index) label it would under scalar execution, so
+  /// fault draws and guard/breaker decisions are bit-identical by
+  /// construction -- batching only reorders *across* unit classes, and
+  /// op_idx_ is per class.
+  template <Op O, typename T, typename... In>
+  void op_n(T* out, std::size_t n, const In*... in) {
+    if (!screened_) return base_.template op_n<O>(out, n, in...);
+    for (std::size_t i = 0; i < n; ++i) out[i] = op<O>(in[i]...);
   }
 
+  // Named entry points: one-line spellings of op<O> / op_n<O>.
+  template <typename T> T add(T a, T b) { return op<Op::Add>(a, b); }
+  template <typename T> T sub(T a, T b) { return op<Op::Sub>(a, b); }
+  template <typename T> T mul(T a, T b) { return op<Op::Mul>(a, b); }
+  template <typename T> T div(T a, T b) { return op<Op::Div>(a, b); }
+  template <typename T> T rcp(T x) { return op<Op::Rcp>(x); }
+  template <typename T> T rsqrt(T x) { return op<Op::Rsqrt>(x); }
+  template <typename T> T sqrt(T x) { return op<Op::Sqrt>(x); }
+  template <typename T> T log2(T x) { return op<Op::Log2>(x); }
+  template <typename T> T exp2(T x) { return op<Op::Exp2>(x); }
+  template <typename T> T fma(T a, T b, T c) { return op<Op::Fma>(a, b, c); }
   template <typename T>
-  void sub_n(const T* a, const T* b, T* out, std::size_t n) {
-    if (!screened_) return base_.sub_n(a, b, out, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = sub(a[i], b[i]);
+  void add_n(const T* a, const T* b, T* o, std::size_t n) { op_n<Op::Add>(o, n, a, b); }
+  template <typename T>
+  void mul_n(const T* a, const T* b, T* o, std::size_t n) { op_n<Op::Mul>(o, n, a, b); }
+  template <typename T>
+  void rcp_n(const T* x, T* o, std::size_t n) { op_n<Op::Rcp>(o, n, x); }
+  template <typename T>
+  void fma_n(const T* a, const T* b, const T* c, T* o, std::size_t n) {
+    op_n<Op::Fma>(o, n, a, b, c);
   }
-
   template <typename T>
-  void mul_n(const T* a, const T* b, T* out, std::size_t n) {
-    if (!screened_) return base_.mul_n(a, b, out, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = mul(a[i], b[i]);
-  }
-
-  template <typename T>
-  void div_n(const T* a, const T* b, T* out, std::size_t n) {
-    if (!screened_) return base_.div_n(a, b, out, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = div(a[i], b[i]);
-  }
-
-  template <typename T>
-  void rcp_n(const T* x, T* out, std::size_t n) {
-    if (!screened_) return base_.rcp_n(x, out, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = rcp(x[i]);
-  }
-
-  template <typename T>
-  void rsqrt_n(const T* x, T* out, std::size_t n) {
-    if (!screened_) return base_.rsqrt_n(x, out, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = rsqrt(x[i]);
-  }
-
-  template <typename T>
-  void sqrt_n(const T* x, T* out, std::size_t n) {
-    if (!screened_) return base_.sqrt_n(x, out, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = sqrt(x[i]);
-  }
-
-  template <typename T>
-  void log2_n(const T* x, T* out, std::size_t n) {
-    if (!screened_) return base_.log2_n(x, out, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = log2(x[i]);
-  }
-
-  template <typename T>
-  void exp2_n(const T* x, T* out, std::size_t n) {
-    if (!screened_) return base_.exp2_n(x, out, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = exp2(x[i]);
-  }
-
-  template <typename T>
-  void fma_n(const T* a, const T* b, const T* c, T* out, std::size_t n) {
-    if (!screened_) return base_.fma_n(a, b, c, out, n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = fma(a[i], b[i], c[i]);
-  }
-
-  /// Non-fused multiply-accumulate span: mul unit then add unit per element.
-  /// Screened, each element consumes one Mul and one Add (epoch, op index)
-  /// label in that order -- the same labels the two-span composition
-  /// mul_n/add_n would consume, so fault draws and guard decisions are
-  /// bit-identical to the unfused form.
-  ///
-  /// NaN/Inf composition gap: a non-finite fault in the mul poisons the add
-  /// screen's precise reference (precise NaN + c is NaN, and screen() abstains
-  /// when the precise side is non-finite), so the corrupted element would
-  /// propagate unflagged. The element-level backstop below re-derives the
-  /// precise chain from the ORIGINAL operands; a non-finite result whose true
-  /// chain is finite is an immediate detection (and repair under recover).
-  template <typename T>
-  void mac_n(const T* a, const T* b, const T* c, T* out, std::size_t n) {
-    if (!screened_) return base_.mac_n(a, b, c, out, n);
-    const GuardPolicy& g = config().guard;
-    for (std::size_t i = 0; i < n; ++i) {
-      T r = add(mul(a[i], b[i]), c[i]);
-      if (g.enabled && !std::isfinite(static_cast<double>(r))) {
-        const T p = static_cast<T>(static_cast<T>(a[i] * b[i]) + c[i]);
-        if (std::isfinite(static_cast<double>(p))) {
-          ++counters_.nonfinite_flags;
-          epoch_tripped_ = true;
-          if (g.recover) r = p;
-        }
-      }
-      out[i] = r;
-    }
+  void mac_n(const T* a, const T* b, const T* c, T* o, std::size_t n) {
+    op_n<Op::Mac>(o, n, a, b, c);
   }
 
  private:
   void refresh() { screened_ = config().screened(); }
 
-  template <typename T, typename Imp, typename Pre>
-  T screen1(UnitClass uc, bool on, T x, Imp&& imp, Pre&& pre) {
-    return screen(uc, on, std::fabs(static_cast<double>(x)),
-                  static_cast<Imp&&>(imp), static_cast<Pre&&>(pre));
-  }
-  template <typename T, typename Imp, typename Pre>
-  T screen2(UnitClass uc, bool on, T a, T b, Imp&& imp, Pre&& pre) {
-    const double ma = std::fabs(static_cast<double>(a));
-    const double mb = std::fabs(static_cast<double>(b));
-    return screen(uc, on, ma > mb ? ma : mb, static_cast<Imp&&>(imp),
-                  static_cast<Pre&&>(pre));
-  }
-  template <typename T, typename Imp, typename Pre>
-  T screen3(UnitClass uc, bool on, T a, T b, T c, Imp&& imp, Pre&& pre) {
-    double m = std::fabs(static_cast<double>(a));
-    const double mb = std::fabs(static_cast<double>(b));
-    const double mc = std::fabs(static_cast<double>(c));
-    if (mb > m) m = mb;
-    if (mc > m) m = mc;
-    return screen(uc, on, m, static_cast<Imp&&>(imp), static_cast<Pre&&>(pre));
-  }
+  template <typename T>
+  T unfused(T a, T b, T c) { return op<Op::Add>(op<Op::Mul>(a, b), c); }
 
-  /// The three-stage pipeline described in the header comment. `max_in` is
-  /// the largest operand magnitude (guard scale floor); `imp`/`pre` produce
-  /// the imprecise and precise results of the same operation.
-  template <typename Imp, typename Pre>
-  auto screen(UnitClass uc, bool imprecise_on, double max_in, Imp&& imp,
-              Pre&& pre) -> decltype(imp()) {
-    using T = decltype(imp());
-    const int c = static_cast<int>(uc);
-    // A precise-path class sits at nominal voltage: no faults, no guard.
-    if (!imprecise_on || run_degraded_[c] || epoch_degraded_[c]) return pre();
-
-    T r = imp();
-    const std::uint32_t op = op_idx_[c]++;
-
-    const FaultSpec& fs = config().faults.units[c];
-    if (fs.active()) {
-      const std::uint64_t h = fault_hash(config().faults.seed, uc, epoch_, op);
-      if (fault_fires(h, fs.rate)) {
-        r = apply_fault(r, fs, splitmix64(h ^ 0xa5a5a5a5a5a5a5a5ull));
-        ++counters_.injected[c];
-      }
-    }
-
+  /// Mac: one Mul and one Add (epoch, op index) label per element, in that
+  /// order -- the labels mul_n then add_n would consume. A non-finite mul
+  /// fault poisons the add screen's precise reference (precise NaN + c is
+  /// NaN, and screen() abstains when the precise side is non-finite), so this
+  /// backstop re-derives the precise chain from the ORIGINAL operands: a
+  /// non-finite result whose true chain is finite is an immediate detection
+  /// (and repair under recover).
+  template <typename T>
+  T mac(T a, T b, T c) {
+    T r = unfused(a, b, c);
     const GuardPolicy& g = config().guard;
-    if (g.enabled) {
-      const T p = pre();
-      const double pd = static_cast<double>(p);
-      const double rd = static_cast<double>(r);
-      bool violation = false;
-      if (std::isfinite(pd)) {
-        if (!std::isfinite(rd)) {
-          violation = true;  // NaN/Inf where the precise unit stays finite
-        } else {
-          const double scale = std::fabs(pd) + g.scale_floor * max_in;
-          violation = std::fabs(rd - pd) > g.tolerance * scale && scale > 0.0;
-        }
-      }
-      if (violation) {
-        ++counters_.guard_trips[c];
+    if (g.enabled && !std::isfinite(static_cast<double>(r))) {
+      const T p = OpRow<Op::Mac>::precise(a, b, c);
+      if (std::isfinite(static_cast<double>(p))) {
+        ++counters_.nonfinite_flags;
         epoch_tripped_ = true;
-        if (++epoch_trips_[c] >= g.epoch_trip_limit) {
-          epoch_degraded_[c] = true;
-          ++counters_.degraded_epochs[c];
-        }
         if (g.recover) r = p;
       }
     }
     return r;
   }
+
+  /// The three-stage pipeline described in the header comment, for the
+  /// single unit of row O.
+  template <Op O, typename T, typename... Ts>
+  T screen(T x, Ts... xs) {
+    using R = OpRow<O>;
+    const UnitClass uc = R::units[0];
+    const int c = static_cast<int>(uc);
+    // A precise-path class sits at nominal voltage: no faults, no guard.
+    if (!R::enabled(config()) || run_degraded_[c] || epoch_degraded_[c])
+      return R::precise(x, xs...);
+    T r = R::imprecise(config(), x, xs...);
+    if (std::uint64_t h = 0; fault_draw(uc, &h))
+      r = apply_fault(r, config().faults.units[c], h);
+    if (config().guard.enabled) {
+      const T p = R::precise(x, xs...);
+      double max_in = std::fabs(static_cast<double>(x));  // guard scale floor
+      ((max_in = std::max(std::fabs(static_cast<double>(xs)), max_in)), ...);
+      if (guard_violation(uc, static_cast<double>(p), static_cast<double>(r),
+                          max_in) &&
+          config().guard.recover)
+        r = p;
+    }
+    return r;
+  }
+
+  /// Consumes the next (epoch, op index) label of class uc; true, with the
+  /// fault word's hash in *h, when that op faults.
+  bool fault_draw(UnitClass uc, std::uint64_t* h);
+  /// Guard verdict on one result (`pd` precise, `rd` delivered): records a
+  /// violation and runs the epoch breaker. True on a violation.
+  bool guard_violation(UnitClass uc, double pd, double rd, double max_in);
 
   FpDispatch base_;
   FaultCounters counters_;

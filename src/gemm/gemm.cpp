@@ -27,6 +27,7 @@
 #include "ihw/batch.h"
 #include "ihw/dispatch.h"
 #include "ihw/ifp_add.h"
+#include "ihw/op.h"
 #include "runtime/parallel.h"
 
 namespace ihw::gemm {
@@ -110,38 +111,18 @@ void row_block(const float* A, const float* B, float* C, std::size_t N,
           for (std::size_t kk = 0; kk < kn; ++kk) {
             std::fill_n(abcast.data(), jn, arow[kk]);
             const float* brow = bpanel.data() + kk * jn;
-            switch (icfg.mul_mode) {
-              case MulMode::ImpreciseSimple:
-                batch::ifp_mac_n(abcast.data(), brow, crow, crow, jn, th_eff,
-                                 tr_eff);
-                break;
-              case MulMode::MitchellLog:
-                batch::acfp_mac_n(abcast.data(), brow, crow, crow, jn,
-                                  AcfpPath::Log, icfg.mul_trunc, th_eff,
-                                  tr_eff);
-                break;
-              case MulMode::MitchellFull:
-                batch::acfp_mac_n(abcast.data(), brow, crow, crow, jn,
-                                  AcfpPath::Full, icfg.mul_trunc, th_eff,
-                                  tr_eff);
-                break;
-              case MulMode::BitTruncated:
-                batch::trunc_mac_n(abcast.data(), brow, crow, crow, jn,
-                                   icfg.mul_trunc, th_eff, tr_eff);
-                break;
-              case MulMode::Precise:
-                // No fused kernel for the precise multiply array: two-pass
-                // (exact product span, then the policy accumulator).
-                for (std::size_t j = 0; j < jn; ++j)
-                  ptmp[j] = arow[kk] * brow[j];
-                if (g.accum == AccumMode::kIfpAdd) {
-                  batch::ifp_add_n(ptmp.data(), crow, crow, jn, g.accum_th);
-                } else {
-                  const std::uint32_t keep = trunc_keep(tr_eff);
-                  for (std::size_t j = 0; j < jn; ++j)
-                    crow[j] = canon_add(ptmp[j], crow[j], keep);
-                }
-                break;
+            if (OpRow<Op::Mac>::fused_n(icfg, crow, jn, abcast.data(), brow,
+                                        crow, th_eff, tr_eff))
+              continue;
+            // No fused kernel for the precise multiply array: two-pass
+            // (exact product span, then the policy accumulator).
+            for (std::size_t j = 0; j < jn; ++j) ptmp[j] = arow[kk] * brow[j];
+            if (g.accum == AccumMode::kIfpAdd) {
+              batch::ifp_add_n(ptmp.data(), crow, crow, jn, g.accum_th);
+            } else {
+              const std::uint32_t keep = trunc_keep(tr_eff);
+              for (std::size_t j = 0; j < jn; ++j)
+                crow[j] = canon_add(ptmp[j], crow[j], keep);
             }
           }
         } else {

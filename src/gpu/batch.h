@@ -1,57 +1,42 @@
 #pragma once
 // Batched SoA arithmetic on the instrumented datapath: the span-level
-// counterpart of SimReal. Each batch_* entry point looks up the active
-// FpContext once, bumps the matching PerfCounters class once for the whole
-// span (bump(OpClass, n)), and hands the loop to GuardedDispatch::*_n --
-// which, in the common unscreened case, is the branch-free bit-parallel
-// kernel of ihw/batch.h with the configuration resolved once per span.
-// Element i of every span is bit-identical to what the scalar SimReal
-// operator would produce for the same operands under the same context
-// state (tests/test_batch.cpp enforces this per unit, config, precision,
-// and fault/guard setting).
-//
-// Without an active context the ops are precise and uncounted, mirroring
-// SimReal's fallback.
+// counterpart of SimReal. batch<O> looks up the active FpContext once, bumps
+// the op-table row's PerfCounters class(es) once for the whole span, and
+// hands the loop to GuardedDispatch::op_n<O> -- in the common unscreened
+// case the bit-parallel kernel of ihw/batch.h. Element i of every span is
+// bit-identical to the SimReal operator on the same operands under the same
+// context state (tests/test_batch.cpp). Without an active context the ops
+// are precise and uncounted, like SimReal's.
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <type_traits>
-#include <vector>
 
 #include "common/aligned.h"
 #include "gpu/context.h"
+#include "ihw/op.h"
 
 namespace ihw::gpu {
 
-/// Lightweight non-owning view of a contiguous operand span -- the SoA unit
-/// the batch layer works in. Implicitly convertible from std::vector so
-/// kernels can pass buffers directly.
-template <typename T>
-struct BatchSpan {
-  T* data = nullptr;
-  std::size_t size = 0;
-
-  BatchSpan() = default;
-  BatchSpan(T* d, std::size_t n) : data(d), size(n) {}
-  BatchSpan(std::vector<std::remove_const_t<T>>& v)  // NOLINT(runtime/explicit)
-      : data(v.data()), size(v.size()) {}
-  BatchSpan(const std::vector<std::remove_const_t<T>>& v)  // NOLINT(runtime/explicit)
-    requires(std::is_const_v<T>)
-      : data(v.data()), size(v.size()) {}
-
-  T& operator[](std::size_t i) const { return data[i]; }
-  T* begin() const { return data; }
-  T* end() const { return data + size; }
-};
+/// out[i] = op<O>(in[i]...) through the active context. `out` may alias any
+/// input.
+template <Op O, typename T, typename... In>
+void batch(T* out, std::size_t n, const In*... in) {
+  using R = OpRow<O>;
+  if (auto* c = FpContext::current()) {
+    for (OpClass k : R::counters) c->counters().bump(k, n);
+    c->guarded().template op_n<O>(out, n, in...);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) out[i] = R::precise(in[i]...);
+  }
+}
 
 namespace detail {
 
 /// Thread-local scratch filled with `v`, for broadcast operands: a uniform
 /// scalar fed to a span op still costs one counted op per element and flows
 /// through the same unit datapath, exactly like the scalar kernel that
-/// recomputes it per element. `Slot` separates concurrently-live broadcasts
-/// within one expression.
-template <typename T, int Slot = 0>
+/// recomputes it per element. One buffer per thread and type, so at most one
+/// broadcast may be live at a time.
+template <typename T>
 T* broadcast(T v, std::size_t n) {
   thread_local common::AlignedVector<T> buf;
   if (buf.size() < n) buf.resize(n);
@@ -61,116 +46,27 @@ T* broadcast(T v, std::size_t n) {
 
 }  // namespace detail
 
-// --- element-wise spans ----------------------------------------------------
+// --- named spellings of batch<O> -------------------------------------------
 
 template <typename T>
-void batch_add(const T* a, const T* b, T* out, std::size_t n) {
-  if (auto* c = FpContext::current()) {
-    c->counters().bump(OpClass::FAdd, n);
-    c->guarded().add_n(a, b, out, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-  }
-}
-
+void batch_add(const T* a, const T* b, T* o, std::size_t n) { batch<Op::Add>(o, n, a, b); }
 template <typename T>
-void batch_sub(const T* a, const T* b, T* out, std::size_t n) {
-  if (auto* c = FpContext::current()) {
-    c->counters().bump(OpClass::FAdd, n);
-    c->guarded().sub_n(a, b, out, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-  }
-}
-
+void batch_sub(const T* a, const T* b, T* o, std::size_t n) { batch<Op::Sub>(o, n, a, b); }
 template <typename T>
-void batch_mul(const T* a, const T* b, T* out, std::size_t n) {
-  if (auto* c = FpContext::current()) {
-    c->counters().bump(OpClass::FMul, n);
-    c->guarded().mul_n(a, b, out, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-  }
-}
-
+void batch_mul(const T* a, const T* b, T* o, std::size_t n) { batch<Op::Mul>(o, n, a, b); }
 template <typename T>
-void batch_div(const T* a, const T* b, T* out, std::size_t n) {
-  if (auto* c = FpContext::current()) {
-    c->counters().bump(OpClass::FDiv, n);
-    c->guarded().div_n(a, b, out, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] / b[i];
-  }
-}
-
+void batch_rcp(const T* x, T* o, std::size_t n) { batch<Op::Rcp>(o, n, x); }
 template <typename T>
-void batch_fma(const T* a, const T* b, const T* c3, T* out, std::size_t n) {
-  if (auto* c = FpContext::current()) {
-    c->counters().bump(OpClass::FFma, n);
-    c->guarded().fma_n(a, b, c3, out, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i] + c3[i];
-  }
-}
-
-/// Non-fused multiply-accumulate: out[i] = add(mul(a[i], b[i]), c3[i])
+void batch_rsqrt(const T* x, T* o, std::size_t n) { batch<Op::Rsqrt>(o, n, x); }
+/// Non-fused multiply-accumulate: out[i] = add(mul(a[i], b[i]), c[i])
 /// through the configured mul and add units. Counts one FMul and one FAdd
-/// per element (it is two ops through two units, unlike batch_fma's fused
-/// FFma), so adopting it in a hot loop that previously ran batch_mul +
-/// batch_add changes neither counters nor results nor fault draws -- it
-/// only skips materializing the product span. `out` may alias `c3`.
+/// per element (two ops through two units, unlike the fused Fma's FFma), so
+/// adopting it in a hot loop that previously ran batch_mul + batch_add
+/// changes neither counters nor results nor fault draws -- it only skips
+/// materializing the product span.
 template <typename T>
-void batch_mac(const T* a, const T* b, const T* c3, T* out, std::size_t n) {
-  if (auto* c = FpContext::current()) {
-    c->counters().bump(OpClass::FMul, n);
-    c->counters().bump(OpClass::FAdd, n);
-    c->guarded().mac_n(a, b, c3, out, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const T p = a[i] * b[i];
-      out[i] = p + c3[i];
-    }
-  }
-}
-
-template <typename T>
-void batch_rcp(const T* x, T* out, std::size_t n) {
-  if (auto* c = FpContext::current()) {
-    c->counters().bump(OpClass::FRcp, n);
-    c->guarded().rcp_n(x, out, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = T(1) / x[i];
-  }
-}
-
-template <typename T>
-void batch_rsqrt(const T* x, T* out, std::size_t n) {
-  if (auto* c = FpContext::current()) {
-    c->counters().bump(OpClass::FRsqrt, n);
-    c->guarded().rsqrt_n(x, out, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = T(1) / std::sqrt(x[i]);
-  }
-}
-
-template <typename T>
-void batch_sqrt(const T* x, T* out, std::size_t n) {
-  if (auto* c = FpContext::current()) {
-    c->counters().bump(OpClass::FSqrt, n);
-    c->guarded().sqrt_n(x, out, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = std::sqrt(x[i]);
-  }
-}
-
-template <typename T>
-void batch_log2(const T* x, T* out, std::size_t n) {
-  if (auto* c = FpContext::current()) {
-    c->counters().bump(OpClass::FLog2, n);
-    c->guarded().log2_n(x, out, n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = std::log2(x[i]);
-  }
+void batch_mac(const T* a, const T* b, const T* c, T* o, std::size_t n) {
+  batch<Op::Mac>(o, n, a, b, c);
 }
 
 // --- broadcast (uniform-scalar operand) variants ---------------------------
@@ -208,33 +104,6 @@ void batch_mac_scalar(const T* a, T b, const T* c3, T* out, std::size_t n) {
 template <typename T>
 void batch_rcp_scalar(T x, T* out, std::size_t n) {
   batch_rcp(detail::broadcast<T>(x, n), out, n);
-}
-
-// --- BatchSpan convenience overloads ---------------------------------------
-
-template <typename T>
-void batch_add(BatchSpan<const T> a, BatchSpan<const T> b, BatchSpan<T> out) {
-  batch_add(a.data, b.data, out.data, out.size);
-}
-template <typename T>
-void batch_sub(BatchSpan<const T> a, BatchSpan<const T> b, BatchSpan<T> out) {
-  batch_sub(a.data, b.data, out.data, out.size);
-}
-template <typename T>
-void batch_mul(BatchSpan<const T> a, BatchSpan<const T> b, BatchSpan<T> out) {
-  batch_mul(a.data, b.data, out.data, out.size);
-}
-template <typename T>
-void batch_div(BatchSpan<const T> a, BatchSpan<const T> b, BatchSpan<T> out) {
-  batch_div(a.data, b.data, out.data, out.size);
-}
-template <typename T>
-void batch_rcp(BatchSpan<const T> x, BatchSpan<T> out) {
-  batch_rcp(x.data, out.data, out.size);
-}
-template <typename T>
-void batch_rsqrt(BatchSpan<const T> x, BatchSpan<T> out) {
-  batch_rsqrt(x.data, out.data, out.size);
 }
 
 }  // namespace ihw::gpu

@@ -28,9 +28,6 @@ class FpContext {
   FpContext(const FpContext& parent, ShardClone)
       : guarded_(parent.guarded_.shard_clone()) {}
 
-  /// The raw (unguarded) dispatcher -- kept for read-only consumers like the
-  /// ISA interpreter; arithmetic issued by SimReal goes through guarded().
-  const FpDispatch& dispatch() const { return guarded_.base(); }
   fault::GuardedDispatch& guarded() { return guarded_; }
   const fault::GuardedDispatch& guarded() const { return guarded_; }
 

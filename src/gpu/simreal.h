@@ -7,8 +7,10 @@
 // modified functional units. Without an active context, operations are
 // precise and uncounted.
 #include <cmath>
+#include <concepts>
 
 #include "gpu/context.h"
+#include "ihw/op.h"
 
 namespace ihw::gpu {
 
@@ -27,74 +29,15 @@ class SimReal {
     requires(!std::is_same_v<U, T> && std::is_arithmetic_v<U>)
   explicit operator U() const { return static_cast<U>(v_); }
 
-  friend SimReal operator+(SimReal a, SimReal b) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FAdd);
-      return SimReal(c->guarded().add(a.v_, b.v_));
-    }
-    return SimReal(a.v_ + b.v_);
-  }
-  friend SimReal operator-(SimReal a, SimReal b) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FAdd);
-      return SimReal(c->guarded().sub(a.v_, b.v_));
-    }
-    return SimReal(a.v_ - b.v_);
-  }
-  friend SimReal operator*(SimReal a, SimReal b) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FMul);
-      return SimReal(c->guarded().mul(a.v_, b.v_));
-    }
-    return SimReal(a.v_ * b.v_);
-  }
-  friend SimReal operator/(SimReal a, SimReal b) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FDiv);
-      return SimReal(c->guarded().div(a.v_, b.v_));
-    }
-    return SimReal(a.v_ / b.v_);
-  }
+  friend SimReal operator+(SimReal a, SimReal b) { return op<Op::Add>(a, b); }
+  friend SimReal operator-(SimReal a, SimReal b) { return op<Op::Sub>(a, b); }
+  friend SimReal operator*(SimReal a, SimReal b) { return op<Op::Mul>(a, b); }
+  friend SimReal operator/(SimReal a, SimReal b) { return op<Op::Div>(a, b); }
   SimReal operator-() const { return SimReal(-v_); }
-  // Compound assignments mutate in place off a single cached context pointer
-  // (one TLS lookup, one inline counter increment) instead of re-entering
-  // the binary operator through a temporary.
-  SimReal& operator+=(SimReal o) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FAdd);
-      v_ = c->guarded().add(v_, o.v_);
-    } else {
-      v_ = v_ + o.v_;
-    }
-    return *this;
-  }
-  SimReal& operator-=(SimReal o) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FAdd);
-      v_ = c->guarded().sub(v_, o.v_);
-    } else {
-      v_ = v_ - o.v_;
-    }
-    return *this;
-  }
-  SimReal& operator*=(SimReal o) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FMul);
-      v_ = c->guarded().mul(v_, o.v_);
-    } else {
-      v_ = v_ * o.v_;
-    }
-    return *this;
-  }
-  SimReal& operator/=(SimReal o) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FDiv);
-      v_ = c->guarded().div(v_, o.v_);
-    } else {
-      v_ = v_ / o.v_;
-    }
-    return *this;
-  }
+  SimReal& operator+=(SimReal o) { return *this = *this + o; }
+  SimReal& operator-=(SimReal o) { return *this = *this - o; }
+  SimReal& operator*=(SimReal o) { return *this = *this * o; }
+  SimReal& operator/=(SimReal o) { return *this = *this / o; }
 
   friend bool operator==(SimReal a, SimReal b) { return a.v_ == b.v_; }
   friend bool operator!=(SimReal a, SimReal b) { return a.v_ != b.v_; }
@@ -103,46 +46,30 @@ class SimReal {
   friend bool operator>(SimReal a, SimReal b) { return a.v_ > b.v_; }
   friend bool operator>=(SimReal a, SimReal b) { return a.v_ >= b.v_; }
 
-  friend SimReal sqrt(SimReal x) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FSqrt);
-      return SimReal(c->guarded().sqrt(x.v_));
-    }
-    return SimReal(std::sqrt(x.v_));
-  }
-  friend SimReal rsqrt(SimReal x) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FRsqrt);
-      return SimReal(c->guarded().rsqrt(x.v_));
-    }
-    return SimReal(T(1) / std::sqrt(x.v_));
-  }
-  friend SimReal rcp(SimReal x) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FRcp);
-      return SimReal(c->guarded().rcp(x.v_));
-    }
-    return SimReal(T(1) / x.v_);
-  }
-  friend SimReal log2(SimReal x) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FLog2);
-      return SimReal(c->guarded().log2(x.v_));
-    }
-    return SimReal(std::log2(x.v_));
-  }
-  friend SimReal fma_op(SimReal a, SimReal b, SimReal x) {
-    if (auto* c = FpContext::current()) {
-      c->bump(OpClass::FFma);
-      return SimReal(c->guarded().fma(a.v_, b.v_, x.v_));
-    }
-    return SimReal(a.v_ * b.v_ + x.v_);
+  friend SimReal sqrt(SimReal x) { return op<Op::Sqrt>(x); }
+  friend SimReal rsqrt(SimReal x) { return op<Op::Rsqrt>(x); }
+  friend SimReal rcp(SimReal x) { return op<Op::Rcp>(x); }
+  friend SimReal log2(SimReal x) { return op<Op::Log2>(x); }
+  friend SimReal exp2(SimReal x) { return op<Op::Exp2>(x); }
+  friend SimReal fma_op(SimReal a, SimReal b, SimReal c) {
+    return op<Op::Fma>(a, b, c);
   }
   friend SimReal fabs(SimReal x) { return SimReal(std::fabs(x.v_)); }
   friend SimReal fmin(SimReal a, SimReal b) { return a.v_ < b.v_ ? a : b; }
   friend SimReal fmax(SimReal a, SimReal b) { return a.v_ > b.v_ ? a : b; }
 
  private:
+  /// The one operator body: bump the op-table row's counter class(es) and
+  /// route through the active context's guarded dispatcher.
+  template <Op O, typename... S>
+  static SimReal op(S... x) {
+    if (auto* c = FpContext::current()) {
+      for (OpClass k : OpRow<O>::counters) c->bump(k);
+      return SimReal(c->guarded().template op<O>(x.v_...));
+    }
+    return SimReal(OpRow<O>::precise(x.v_...));
+  }
+
   T v_{};
 };
 
@@ -150,12 +77,10 @@ using SimFloat = SimReal<float>;
 using SimDouble = SimReal<double>;
 
 // --- precise fallbacks so templated kernels instantiate with plain T ------
-inline float rsqrt(float x) { return 1.0f / std::sqrt(x); }
-inline double rsqrt(double x) { return 1.0 / std::sqrt(x); }
-inline float rcp(float x) { return 1.0f / x; }
-inline double rcp(double x) { return 1.0 / x; }
-inline float fma_op(float a, float b, float c) { return a * b + c; }
-inline double fma_op(double a, double b, double c) { return a * b + c; }
+template <std::floating_point T> T rsqrt(T x) { return OpRow<Op::Rsqrt>::precise(x); }
+template <std::floating_point T> T rcp(T x) { return OpRow<Op::Rcp>::precise(x); }
+template <std::floating_point T>
+T fma_op(T a, T b, T c) { return OpRow<Op::Fma>::precise(a, b, c); }
 
 // --- global-memory access tracking ----------------------------------------
 // Models one 4-byte global access per call (plus its address computation as

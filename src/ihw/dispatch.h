@@ -1,18 +1,12 @@
 #pragma once
 // Routes each floating-point operation class to its precise (host IEEE-754)
-// or imprecise implementation according to an IhwConfig -- the software
-// analogue of the per-unit enable knob the paper added to GPGPU-Sim.
-#include "ihw/acfp_mul.h"
-#include "ihw/batch.h"
-#include "ihw/config.h"
-#include "ihw/ifp_add.h"
-#include "ihw/ifp_mul.h"
-#include "ihw/sfu.h"
-#include "ihw/trunc_mul.h"
-
+// or imprecise implementation according to an IhwConfig: the op table
+// (op.h) bound to one configuration.
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
+
+#include "ihw/config.h"
+#include "ihw/op.h"
 
 namespace ihw {
 
@@ -24,217 +18,78 @@ class FpDispatch {
   const IhwConfig& config() const { return cfg_; }
   void set_config(IhwConfig cfg) { cfg_ = cfg; }
 
-  template <typename T>
-  T add(T a, T b) const {
-    return cfg_.add_enabled ? ifp_add(a, b, cfg_.add_th) : a + b;
+  /// One operation of class O on OpRow<O>::arity operands.
+  template <Op O, typename T, typename... Ts>
+  T op(T x, Ts... xs) const {
+    using R = OpRow<O>;
+    if (R::enabled(cfg_)) return R::imprecise(cfg_, x, xs...);
+    if constexpr (R::unfused) return unfused(x, xs...);
+    else return R::precise(x, xs...);
   }
 
-  template <typename T>
-  T sub(T a, T b) const {
-    return cfg_.add_enabled ? ifp_sub(a, b, cfg_.add_th) : a - b;
+  /// The span form: out[i] = op<O>(in[i]...), with the configuration
+  /// resolved once for the whole span and the loop handed to batch.h. Every
+  /// element is bit-identical to op<O> at the same index. `out` may alias
+  /// any input.
+  template <Op O, typename T, typename... In>
+  void op_n(T* out, std::size_t n, const In*... in) const {
+    using R = OpRow<O>;
+    if (R::enabled(cfg_)) return R::imprecise_n(cfg_, out, n, in...);
+    if constexpr (R::unfused) unfused_n(out, n, in...);
+    else for (std::size_t i = 0; i < n; ++i) out[i] = R::precise(in[i]...);
   }
 
+  // Named entry points: one-line spellings of op<O> / op_n<O>.
+  template <typename T> T add(T a, T b) const { return op<Op::Add>(a, b); }
+  template <typename T> T sub(T a, T b) const { return op<Op::Sub>(a, b); }
+  template <typename T> T mul(T a, T b) const { return op<Op::Mul>(a, b); }
+  template <typename T> T div(T a, T b) const { return op<Op::Div>(a, b); }
+  template <typename T> T rcp(T x) const { return op<Op::Rcp>(x); }
+  template <typename T> T rsqrt(T x) const { return op<Op::Rsqrt>(x); }
+  template <typename T> T sqrt(T x) const { return op<Op::Sqrt>(x); }
+  template <typename T> T log2(T x) const { return op<Op::Log2>(x); }
+  template <typename T> T exp2(T x) const { return op<Op::Exp2>(x); }
+  template <typename T> T fma(T a, T b, T c) const { return op<Op::Fma>(a, b, c); }
   template <typename T>
-  T mul(T a, T b) const {
-    switch (cfg_.mul_mode) {
-      case MulMode::Precise: return a * b;
-      case MulMode::ImpreciseSimple: return ifp_mul(a, b);
-      case MulMode::MitchellLog:
-        return acfp_mul(a, b, AcfpPath::Log, cfg_.mul_trunc);
-      case MulMode::MitchellFull:
-        return acfp_mul(a, b, AcfpPath::Full, cfg_.mul_trunc);
-      case MulMode::BitTruncated: return trunc_mul(a, b, cfg_.mul_trunc);
-    }
-    return a * b;
+  void add_n(const T* a, const T* b, T* o, std::size_t n) const {
+    op_n<Op::Add>(o, n, a, b);
+  }
+  template <typename T>
+  void mul_n(const T* a, const T* b, T* o, std::size_t n) const {
+    op_n<Op::Mul>(o, n, a, b);
+  }
+  template <typename T>
+  void rcp_n(const T* x, T* o, std::size_t n) const { op_n<Op::Rcp>(o, n, x); }
+  /// out[i] = add(mul(a[i], b[i]), c[i]) through the configured units.
+  template <typename T>
+  void mac_n(const T* a, const T* b, const T* c, T* o, std::size_t n) const {
+    op_n<Op::Mac>(o, n, a, b, c);
   }
 
+ private:
+  /// A composite row with its fused unit off: the configured mul unit, then
+  /// the configured add unit (how GPGPU-Sim decomposes MAD without one).
   template <typename T>
-  T div(T a, T b) const {
-    return cfg_.div_enabled ? ifp_div(a, b) : a / b;
-  }
+  T unfused(T a, T b, T c) const { return op<Op::Add>(op<Op::Mul>(a, b), c); }
 
+  /// Span form of unfused(): the fused mac kernel when both stages are
+  /// imprecise, else two passes through a stack tile so each stage runs its
+  /// own configured span (ISO C++ forbids contracting the precise mul/add
+  /// pair, so the composition is bit-exact).
   template <typename T>
-  T rcp(T x) const {
-    return cfg_.rcp_enabled ? ircp(x) : T(1) / x;
-  }
-
-  template <typename T>
-  T rsqrt(T x) const {
-    return cfg_.rsqrt_enabled ? irsqrt(x) : T(1) / std::sqrt(x);
-  }
-
-  template <typename T>
-  T sqrt(T x) const {
-    return cfg_.sqrt_enabled ? isqrt(x) : std::sqrt(x);
-  }
-
-  template <typename T>
-  T log2(T x) const {
-    return cfg_.log2_enabled ? ilog2(x) : std::log2(x);
-  }
-
-  template <typename T>
-  T exp2(T x) const {
-    return cfg_.exp2_enabled ? iexp2(x) : std::exp2(x);
-  }
-
-  template <typename T>
-  T fma(T a, T b, T c) const {
-    if (cfg_.fma_enabled) return ifp_fma(a, b, c, cfg_.add_th);
-    // A non-fused precise pipeline: mul then add through whatever those two
-    // units are configured as (matches how GPGPU-Sim decomposes MAD when the
-    // fused unit is disabled).
-    return add(mul(a, b), c);
-  }
-
-  // --- span entry points (the batched SoA fast path) -----------------------
-  // Each resolves the configuration once for the whole span and hands the
-  // loop to batch.h; every element is bit-identical to the scalar method
-  // above applied at the same index.
-
-  template <typename T>
-  void add_n(const T* a, const T* b, T* out, std::size_t n) const {
-    if (cfg_.add_enabled) {
-      batch::ifp_add_n(a, b, out, n, cfg_.add_th);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-    }
-  }
-
-  template <typename T>
-  void sub_n(const T* a, const T* b, T* out, std::size_t n) const {
-    if (cfg_.add_enabled) {
-      batch::ifp_sub_n(a, b, out, n, cfg_.add_th);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-    }
-  }
-
-  template <typename T>
-  void mul_n(const T* a, const T* b, T* out, std::size_t n) const {
-    switch (cfg_.mul_mode) {
-      case MulMode::Precise:
-        for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-        return;
-      case MulMode::ImpreciseSimple: batch::ifp_mul_n(a, b, out, n); return;
-      case MulMode::MitchellLog:
-        batch::acfp_mul_n(a, b, out, n, AcfpPath::Log, cfg_.mul_trunc);
-        return;
-      case MulMode::MitchellFull:
-        batch::acfp_mul_n(a, b, out, n, AcfpPath::Full, cfg_.mul_trunc);
-        return;
-      case MulMode::BitTruncated:
-        batch::trunc_mul_n(a, b, out, n, cfg_.mul_trunc);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-  }
-
-  template <typename T>
-  void div_n(const T* a, const T* b, T* out, std::size_t n) const {
-    if (cfg_.div_enabled) {
-      batch::ifp_div_n(a, b, out, n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = a[i] / b[i];
-    }
-  }
-
-  template <typename T>
-  void rcp_n(const T* x, T* out, std::size_t n) const {
-    if (cfg_.rcp_enabled) {
-      batch::ircp_n(x, out, n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = T(1) / x[i];
-    }
-  }
-
-  template <typename T>
-  void rsqrt_n(const T* x, T* out, std::size_t n) const {
-    if (cfg_.rsqrt_enabled) {
-      batch::irsqrt_n(x, out, n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = T(1) / std::sqrt(x[i]);
-    }
-  }
-
-  template <typename T>
-  void sqrt_n(const T* x, T* out, std::size_t n) const {
-    if (cfg_.sqrt_enabled) {
-      batch::isqrt_n(x, out, n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = std::sqrt(x[i]);
-    }
-  }
-
-  template <typename T>
-  void log2_n(const T* x, T* out, std::size_t n) const {
-    if (cfg_.log2_enabled) {
-      batch::ilog2_n(x, out, n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = std::log2(x[i]);
-    }
-  }
-
-  template <typename T>
-  void exp2_n(const T* x, T* out, std::size_t n) const {
-    if (cfg_.exp2_enabled) {
-      batch::iexp2_n(x, out, n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = std::exp2(x[i]);
-    }
-  }
-
-  template <typename T>
-  void fma_n(const T* a, const T* b, const T* c, T* out, std::size_t n) const {
-    if (cfg_.fma_enabled) {
-      batch::ifp_fma_n(a, b, c, out, n, cfg_.add_th);
-      return;
-    }
-    // Decomposed mul-then-add through the configured mul and add units;
-    // element-wise bit-identical to the scalar fma() above.
-    mac_n(a, b, c, out, n);
-  }
-
-  /// out[i] = add(mul(a[i], b[i]), c[i]) through the configured units --
-  /// the non-fused multiply-accumulate every stencil hot loop performs.
-  /// Bit-identical to mul_n followed by add_n (product as the add's first
-  /// operand); when both stages are imprecise the fused *_mac_n kernels of
-  /// batch.h take over and the product span never materializes. `out` may
-  /// alias `c`.
-  template <typename T>
-  void mac_n(const T* a, const T* b, const T* c, T* out, std::size_t n) const {
-    if (cfg_.add_enabled) {
-      switch (cfg_.mul_mode) {
-        case MulMode::ImpreciseSimple:
-          batch::ifp_mac_n(a, b, c, out, n, cfg_.add_th);
-          return;
-        case MulMode::MitchellLog:
-          batch::acfp_mac_n(a, b, c, out, n, AcfpPath::Log, cfg_.mul_trunc,
-                            cfg_.add_th);
-          return;
-        case MulMode::MitchellFull:
-          batch::acfp_mac_n(a, b, c, out, n, AcfpPath::Full, cfg_.mul_trunc,
-                            cfg_.add_th);
-          return;
-        case MulMode::BitTruncated:
-          batch::trunc_mac_n(a, b, c, out, n, cfg_.mul_trunc, cfg_.add_th);
-          return;
-        case MulMode::Precise: break;  // no fused kernel; two-pass below
-      }
-    }
-    // Precise mul or precise add: two-pass through a stack tile so each
-    // stage runs its own configured span (ISO C++ forbids contracting the
-    // precise mul/add pair, so the composition is bit-exact).
+  void unfused_n(T* out, std::size_t n, const T* a, const T* b,
+                 const T* c) const {
+    using Mac = OpRow<Op::Mac>;
+    if (Mac::enabled(cfg_)) return Mac::imprecise_n(cfg_, out, n, a, b, c);
     constexpr std::size_t kTile = 256;
     T tmp[kTile];
     for (std::size_t i = 0; i < n; i += kTile) {
       const std::size_t m = std::min(kTile, n - i);
-      mul_n(a + i, b + i, tmp, m);
-      add_n(tmp, c + i, out + i, m);
+      op_n<Op::Mul>(tmp, m, a + i, b + i);
+      op_n<Op::Add>(out + i, m, tmp, c + i);
     }
   }
 
- private:
   IhwConfig cfg_{};
 };
 

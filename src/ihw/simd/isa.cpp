@@ -39,8 +39,7 @@ const KernelTable& table_for(IsaLevel level) {
 std::atomic<const KernelTable*> g_table{nullptr};
 std::atomic<int> g_level{static_cast<int>(IsaLevel::kScalar)};
 
-/// Clamp to the widest supported level at or below the request. kNeon has no
-/// kernels yet, so it (and any unknown value) lands on scalar.
+/// Clamp to the widest supported level at or below the request.
 IsaLevel clamp_supported(IsaLevel want, IsaLevel best) {
   if (want == IsaLevel::kAvx512 &&
       static_cast<int>(best) >= static_cast<int>(IsaLevel::kAvx512))
@@ -82,15 +81,13 @@ const char* isa_name(IsaLevel level) {
     case IsaLevel::kScalar: return "scalar";
     case IsaLevel::kAvx2: return "avx2";
     case IsaLevel::kAvx512: return "avx512";
-    case IsaLevel::kNeon: return "neon";
   }
   return "scalar";
 }
 
 bool isa_parse(const char* s, IsaLevel* out) {
   if (s == nullptr) return false;
-  for (IsaLevel l : {IsaLevel::kScalar, IsaLevel::kAvx2, IsaLevel::kAvx512,
-                     IsaLevel::kNeon}) {
+  for (IsaLevel l : {IsaLevel::kScalar, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
     if (std::strcmp(s, isa_name(l)) == 0) {
       *out = l;
       return true;
@@ -103,7 +100,6 @@ IsaLevel isa_best_supported() { return runtime().best; }
 
 bool isa_supported(IsaLevel level) {
   if (level == IsaLevel::kScalar) return true;
-  if (level == IsaLevel::kNeon) return false;  // stub: no kernels yet
   return static_cast<int>(level) <= static_cast<int>(runtime().best);
 }
 

@@ -9,8 +9,8 @@
 // compiled with just enough -m flags for its own ISA), and a cpuid-based
 // detector picks the widest supported backend once per process. One default
 // build binary therefore hits peak span throughput on any x86-64 host; on
-// other architectures (the NEON slot below is the intended extension point)
-// every table entry is null and the scalar reference loops in batch.h run.
+// other architectures every table entry is null and the scalar reference
+// loops in batch.h run.
 //
 // Bit-identity contract: a backend entry is only allowed in a table if it
 // produces exactly the bits of the scalar reference lane in batch.h for
@@ -33,11 +33,8 @@
 
 namespace ihw::simd {
 
-/// Backend levels, widest last within each architecture family. kNeon is a
-/// structural stub: parse/name/table plumbing accepts it so an aarch64
-/// backend only has to fill in a table, but no kernels exist yet and it is
-/// never reported as supported.
-enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
+/// Backend levels, widest last.
+enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// One resolved backend: the name that bench rows and logs report, plus one
 /// function pointer per hand-vectorized kernel. A null entry means "no
@@ -75,7 +72,7 @@ struct KernelTable {
                         int th, std::uint32_t acc_keep) = nullptr;
 };
 
-/// Canonical lowercase name ("scalar", "avx2", "avx512", "neon").
+/// Canonical lowercase name ("scalar", "avx2", "avx512").
 const char* isa_name(IsaLevel level);
 
 /// Parses a canonical name (as accepted by IHW_FORCE_ISA). Returns false on

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "arith/datapath.h"
+#include "ihw/op.h"
 
 namespace ihw::power {
 namespace {
@@ -165,25 +166,19 @@ UnitMetrics SynthesisDb::multiplier(MulMode mode, int trunc, bool is64) const {
 }
 
 UnitMetrics SynthesisDb::for_config(OpKind op, const IhwConfig& cfg) const {
+  // A unit is priced as imprecise when its op-table row is enabled.
+  const auto priced = [&](bool on) { return on ? ihw(op, add_th(cfg)) : dwip(op); };
   switch (op) {
-    case OpKind::FAdd:
-      return cfg.add_enabled ? ihw(op, cfg.add_th) : dwip(op);
+    case OpKind::FAdd: return priced(OpRow<Op::Add>::enabled(cfg));
     case OpKind::FMul:
       return multiplier(cfg.mul_mode, cfg.mul_trunc, /*is64=*/false);
-    case OpKind::FFma:
-      return cfg.fma_enabled ? ihw(op) : dwip(op);
-    case OpKind::FDiv:
-      return cfg.div_enabled ? ihw(op) : dwip(op);
-    case OpKind::FRcp:
-      return cfg.rcp_enabled ? ihw(op) : dwip(op);
-    case OpKind::FRsqrt:
-      return cfg.rsqrt_enabled ? ihw(op) : dwip(op);
-    case OpKind::FSqrt:
-      return cfg.sqrt_enabled ? ihw(op) : dwip(op);
-    case OpKind::FLog2:
-      return cfg.log2_enabled ? ihw(op) : dwip(op);
-    default:
-      return dwip(op);
+    case OpKind::FFma: return priced(OpRow<Op::Fma>::enabled(cfg));
+    case OpKind::FDiv: return priced(OpRow<Op::Div>::enabled(cfg));
+    case OpKind::FRcp: return priced(OpRow<Op::Rcp>::enabled(cfg));
+    case OpKind::FRsqrt: return priced(OpRow<Op::Rsqrt>::enabled(cfg));
+    case OpKind::FSqrt: return priced(OpRow<Op::Sqrt>::enabled(cfg));
+    case OpKind::FLog2: return priced(OpRow<Op::Log2>::enabled(cfg));
+    default: return dwip(op);
   }
 }
 

@@ -1,15 +1,17 @@
 // Batch <-> scalar bit-identity for the SoA fast path (DESIGN.md §10):
-// every unit kernel across its parameter space, every dispatch config, the
-// guarded/faulted screen, the context-level batch_* ops (values + counters),
-// runtime::batch_apply across thread counts, and the batched app ports
-// against their scalar SimReal references.
+// every unit kernel across its parameter space, every op-table row through
+// every layer (values + counters, unscreened and screened), the multi-op
+// guarded/faulted screen, runtime::batch_apply across thread counts, and the
+// batched app ports against their scalar SimReal references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <cmath>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "apps/cp.h"
@@ -21,6 +23,7 @@
 #include "gpu/simreal.h"
 #include "ihw/batch.h"
 #include "ihw/dispatch.h"
+#include "ihw/op.h"
 #include "runtime/parallel.h"
 
 namespace ihw {
@@ -193,68 +196,6 @@ void expect_span_matches_value(const char* what, const std::vector<T>& got,
         << want[i];
 }
 
-// --- dispatch-level bit-identity across configs ----------------------------
-
-std::vector<IhwConfig> interesting_configs() {
-  std::vector<IhwConfig> cfgs;
-  cfgs.push_back(IhwConfig::precise());
-  cfgs.push_back(IhwConfig::all_imprecise());
-  for (MulMode m : {MulMode::ImpreciseSimple, MulMode::MitchellLog,
-                    MulMode::MitchellFull, MulMode::BitTruncated})
-    cfgs.push_back(IhwConfig::mul_only(m, 8));
-  IhwConfig add_only;
-  add_only.add_enabled = true;
-  add_only.add_th = 4;
-  cfgs.push_back(add_only);
-  return cfgs;
-}
-
-template <typename T>
-void run_dispatch_identity(const IhwConfig& cfg) {
-  const FpDispatch d(cfg);
-  const auto a = operands<T>(kN, 8), b = operands<T>(kN, 9),
-             c = operands<T>(kN, 10);
-  std::vector<T> out(kN), ref(kN);
-
-  d.add_n(a.data(), b.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = d.add(a[i], b[i]);
-  expect_span_matches_value("add_n", out, ref);
-  d.sub_n(a.data(), b.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = d.sub(a[i], b[i]);
-  expect_span_matches_value("sub_n", out, ref);
-  d.mul_n(a.data(), b.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = d.mul(a[i], b[i]);
-  expect_span_matches_value("mul_n", out, ref);
-  d.div_n(a.data(), b.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = d.div(a[i], b[i]);
-  expect_span_matches_value("div_n", out, ref);
-  d.fma_n(a.data(), b.data(), c.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = d.fma(a[i], b[i], c[i]);
-  expect_span_matches_value("fma_n", out, ref);
-  d.rcp_n(a.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = d.rcp(a[i]);
-  expect_span_matches_value("rcp_n", out, ref);
-  d.rsqrt_n(a.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = d.rsqrt(a[i]);
-  expect_span_matches_value("rsqrt_n", out, ref);
-  d.sqrt_n(a.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = d.sqrt(a[i]);
-  expect_span_matches_value("sqrt_n", out, ref);
-  d.log2_n(a.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = d.log2(a[i]);
-  expect_span_matches_value("log2_n", out, ref);
-  d.exp2_n(a.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = d.exp2(a[i]);
-  expect_span_matches_value("exp2_n", out, ref);
-}
-
-TEST(BatchDispatch, EveryConfigBitIdenticalFloat) {
-  for (const auto& cfg : interesting_configs()) run_dispatch_identity<float>(cfg);
-}
-TEST(BatchDispatch, EveryConfigBitIdenticalDouble) {
-  for (const auto& cfg : interesting_configs()) run_dispatch_identity<double>(cfg);
-}
-
 // --- guarded/faulted spans --------------------------------------------------
 
 IhwConfig faulted_guarded_config() {
@@ -271,6 +212,7 @@ void expect_fault_counters_eq(const fault::FaultCounters& a,
   EXPECT_EQ(a.degraded_epochs, b.degraded_epochs);
   EXPECT_EQ(a.run_degradations, b.run_degradations);
   EXPECT_EQ(a.retried_epochs, b.retried_epochs);
+  EXPECT_EQ(a.nonfinite_flags, b.nonfinite_flags);
 }
 
 TEST(BatchGuarded, ScreenedSpanMatchesScalarScreen) {
@@ -309,41 +251,7 @@ TEST(BatchGuarded, ScreenedSpanMatchesScalarScreen) {
   expect_fault_counters_eq(scalar.counters(), batched.counters());
 }
 
-// --- context-level batch ops: values and counters ---------------------------
-
-TEST(BatchContext, ValuesAndCountersMatchSimRealLoop) {
-  const IhwConfig cfg = IhwConfig::all_imprecise();
-  const auto a = positive_operands<float>(kN, 14),
-             b = positive_operands<float>(kN, 15);
-
-  FpContext ref_ctx(cfg);
-  std::vector<float> ref(kN);
-  {
-    ScopedContext active(ref_ctx);
-    for (std::size_t i = 0; i < kN; ++i) {
-      SimFloat acc = SimFloat(a[i]) * SimFloat(b[i]);
-      acc += rcp(SimFloat(b[i]));
-      acc -= SimFloat(2.0f);
-      ref[i] = (acc * rsqrt(SimFloat(a[i]))).value();
-    }
-  }
-
-  FpContext ctx(cfg);
-  std::vector<float> out(kN), t0(kN);
-  {
-    ScopedContext active(ctx);
-    gpu::batch_mul(a.data(), b.data(), out.data(), kN);
-    gpu::batch_rcp(b.data(), t0.data(), kN);
-    gpu::batch_add(out.data(), t0.data(), out.data(), kN);
-    gpu::batch_sub_scalar(out.data(), 2.0f, out.data(), kN);
-    gpu::batch_rsqrt(a.data(), t0.data(), kN);
-    gpu::batch_mul(out.data(), t0.data(), out.data(), kN);
-  }
-
-  expect_span_matches("context pipeline", out, ref);
-  EXPECT_EQ(ctx.counters().counts, ref_ctx.counters().counts);
-  EXPECT_GT(ctx.counters()[OpClass::FMul], 0u);
-}
+// --- context-level batch ops ------------------------------------------------
 
 TEST(BatchContext, NoContextFallbackIsPreciseAndUncounted) {
   const auto a = positive_operands<float>(kN, 16),
@@ -508,6 +416,251 @@ TEST(SimRealCompound, MatchesBinaryOperatorAndCountsOnce) {
   SimFloat q = x;
   q /= y;
   EXPECT_TRUE(same_bits(q.value(), (x / y).value()));
+}
+
+// --- the op table: every layer against every other -------------------------
+// One grid over Op x {float, double} x configs x {unscreened, faults,
+// faults + guard}: a SimReal loop, gpu::batch<O>, GuardedDispatch::op_n<O>
+// and (unscreened) FpDispatch::op<O> must agree element for element, with
+// equal PerfCounters and FaultCounters, and unscreened they must equal an
+// oracle written directly against the scalar units.
+
+/// Random bit patterns (every IEEE special class) then tame positives.
+template <typename T>
+std::vector<T> mixed_operands(std::size_t n, std::uint64_t seed) {
+  std::vector<T> v = operands<T>(n / 2, seed);
+  const auto tame = positive_operands<T>(n - n / 2, seed + 1000);
+  v.insert(v.end(), tame.begin(), tame.end());
+  return v;
+}
+
+/// Calls f with the first OpRow<O>::arity of (a, b, c).
+template <Op O, typename F, typename U>
+decltype(auto) with_arity(F&& f, U a, U b, U c) {
+  constexpr int kArity = OpRow<O>::arity;
+  if constexpr (kArity == 1) return f(a);
+  else if constexpr (kArity == 2) return f(a, b);
+  else return f(a, b, c);
+}
+
+/// The SimReal spelling of each op, as app kernels write it.
+template <Op O, typename S>
+S sim_op(S a, S b, S c) {
+  if constexpr (O == Op::Add) return a + b;
+  else if constexpr (O == Op::Sub) return a - b;
+  else if constexpr (O == Op::Mul) return a * b;
+  else if constexpr (O == Op::Div) return a / b;
+  else if constexpr (O == Op::Rcp) return rcp(a);
+  else if constexpr (O == Op::Rsqrt) return rsqrt(a);
+  else if constexpr (O == Op::Sqrt) return sqrt(a);
+  else if constexpr (O == Op::Log2) return log2(a);
+  else if constexpr (O == Op::Exp2) return exp2(a);
+  else if constexpr (O == Op::Fma) return fma_op(a, b, c);
+  else return a * b + c;
+}
+
+/// Routing oracle: each op written against the scalar units and the config
+/// knobs, independently of the op table.
+template <Op O, typename T>
+T unit_reference(const IhwConfig& c, T a, T b, T x) {
+  const auto mul = [&](T p, T q) -> T {
+    switch (c.mul_mode) {
+      case MulMode::Precise: return p * q;
+      case MulMode::ImpreciseSimple: return ifp_mul(p, q);
+      case MulMode::MitchellLog:
+        return acfp_mul(p, q, AcfpPath::Log, c.mul_trunc);
+      case MulMode::MitchellFull:
+        return acfp_mul(p, q, AcfpPath::Full, c.mul_trunc);
+      case MulMode::BitTruncated: return trunc_mul(p, q, c.mul_trunc);
+    }
+    return p * q;
+  };
+  const auto add = [&](T p, T q) {
+    return c.add_enabled ? ifp_add(p, q, c.add_th) : p + q;
+  };
+  if constexpr (O == Op::Add) return add(a, b);
+  else if constexpr (O == Op::Sub)
+    return c.add_enabled ? ifp_sub(a, b, c.add_th) : a - b;
+  else if constexpr (O == Op::Mul) return mul(a, b);
+  else if constexpr (O == Op::Div) return c.div_enabled ? ifp_div(a, b) : a / b;
+  else if constexpr (O == Op::Rcp) return c.rcp_enabled ? ircp(a) : T(1) / a;
+  else if constexpr (O == Op::Rsqrt)
+    return c.rsqrt_enabled ? irsqrt(a) : T(1) / std::sqrt(a);
+  else if constexpr (O == Op::Sqrt)
+    return c.sqrt_enabled ? isqrt(a) : std::sqrt(a);
+  else if constexpr (O == Op::Log2)
+    return c.log2_enabled ? ilog2(a) : std::log2(a);
+  else if constexpr (O == Op::Exp2)
+    return c.exp2_enabled ? iexp2(a) : std::exp2(a);
+  else if constexpr (O == Op::Fma)
+    return c.fma_enabled ? ifp_fma(a, b, x, c.add_th) : add(mul(a, b), x);
+  else return add(mul(a, b), x);
+}
+
+/// The PerfCounters classes op O bumps per element and the fault classes
+/// it may draw from, written independently of the table.
+struct Accounting {
+  std::vector<OpClass> counted;
+  std::vector<UnitClass> faulted;
+};
+Accounting accounting(Op o) {
+  switch (o) {
+    case Op::Add:
+    case Op::Sub: return {{OpClass::FAdd}, {UnitClass::Add}};
+    case Op::Mul: return {{OpClass::FMul}, {UnitClass::Mul}};
+    case Op::Div: return {{OpClass::FDiv}, {UnitClass::Div}};
+    case Op::Rcp: return {{OpClass::FRcp}, {UnitClass::Rcp}};
+    case Op::Rsqrt: return {{OpClass::FRsqrt}, {UnitClass::Rsqrt}};
+    case Op::Sqrt: return {{OpClass::FSqrt}, {UnitClass::Sqrt}};
+    case Op::Log2: return {{OpClass::FLog2}, {UnitClass::Log2}};
+    case Op::Exp2: return {{OpClass::FLog2}, {UnitClass::Exp2}};
+    case Op::Fma:
+      return {{OpClass::FFma}, {UnitClass::Fma, UnitClass::Mul, UnitClass::Add}};
+    case Op::Mac: return {{OpClass::FMul, OpClass::FAdd}, {UnitClass::Mul, UnitClass::Add}};
+  }
+  return {};
+}
+
+/// precise; all_imprecise; each MulMode alone at trunc 0 and 8; and every
+/// unit on (exp2 too) at add_th 0, 1, 8, 27, with the fused Fma on and off.
+std::vector<IhwConfig> parity_grid() {
+  std::vector<IhwConfig> grid = {IhwConfig::precise(),
+                                 IhwConfig::all_imprecise()};
+  for (MulMode m : {MulMode::ImpreciseSimple, MulMode::MitchellLog,
+                    MulMode::MitchellFull, MulMode::BitTruncated})
+    for (int tr : {0, 8}) grid.push_back(IhwConfig::mul_only(m, tr));
+  for (int th : {0, 1, 8, 27}) {
+    for (bool fma : {true, false}) {
+      IhwConfig c = IhwConfig::all_imprecise();
+      c.exp2_enabled = true;
+      c.add_th = th;
+      c.fma_enabled = fma;
+      grid.push_back(c);
+    }
+  }
+  return grid;
+}
+
+enum class Screen { kOff, kFaults, kGuard };
+
+/// Returns the run's fault counters, so the grid can check that its
+/// screened modes really inject and trip.
+template <Op O, typename T>
+fault::FaultCounters check_parity(IhwConfig cfg, Screen mode) {
+  if (mode != Screen::kOff) cfg.faults = FaultConfig::uniform(1e-3, 77);
+  cfg.guard.enabled = mode == Screen::kGuard;
+  SCOPED_TRACE(testing::Message() << "op " << static_cast<int>(O) << ", "
+                                  << cfg.describe() << " th=" << cfg.add_th
+                                  << ", screen mode " << static_cast<int>(mode));
+  constexpr std::size_t n = 4096;
+  const auto a = mixed_operands<T>(n, 31), b = mixed_operands<T>(n, 32),
+             c = mixed_operands<T>(n, 33);
+  std::vector<T> sim(n), bat(n), grd(n);
+
+  FpContext sim_ctx(cfg), bat_ctx(cfg);
+  {
+    ScopedContext active(sim_ctx);
+    using S = gpu::SimReal<T>;
+    for (std::size_t i = 0; i < n; ++i)
+      sim[i] = sim_op<O>(S(a[i]), S(b[i]), S(c[i])).value();
+  }
+  {
+    ScopedContext active(bat_ctx);
+    with_arity<O>([&](auto... in) { gpu::batch<O>(bat.data(), n, in...); },
+                  a.data(), b.data(), c.data());
+  }
+  GuardedDispatch gd(cfg);
+  with_arity<O>([&](auto... in) { gd.op_n<O>(grd.data(), n, in...); },
+                a.data(), b.data(), c.data());
+
+  expect_span_matches_value("gpu::batch", bat, sim);
+  expect_span_matches_value("GuardedDispatch::op_n", grd, sim);
+  EXPECT_EQ(bat_ctx.counters().counts, sim_ctx.counters().counts);
+  const Accounting acc = accounting(O);
+  gpu::PerfCounters want;
+  for (OpClass k : acc.counted) want.bump(k, n);
+  EXPECT_EQ(sim_ctx.counters().counts, want.counts);
+  for (int u = 0; u < fault::kNumUnitClasses; ++u) {
+    const auto uc = static_cast<UnitClass>(u);
+    if (std::find(acc.faulted.begin(), acc.faulted.end(), uc) != acc.faulted.end())
+      continue;
+    EXPECT_EQ(sim_ctx.fault_counters()[uc], 0u) << fault::to_string(uc);
+    EXPECT_EQ(sim_ctx.fault_counters().guard_trips[u], 0u) << fault::to_string(uc);
+  }
+  expect_fault_counters_eq(bat_ctx.fault_counters(), sim_ctx.fault_counters());
+  expect_fault_counters_eq(gd.counters(), sim_ctx.fault_counters());
+  if (mode != Screen::kOff) return sim_ctx.fault_counters();
+
+  const FpDispatch d(cfg);
+  std::vector<T> fpd(n), ref(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    fpd[i] = with_arity<O>([&](auto... x) { return d.op<O>(x...); }, a[i],
+                           b[i], c[i]);
+    ref[i] = unit_reference<O>(cfg, a[i], b[i], c[i]);
+  }
+  expect_span_matches_value("FpDispatch::op", fpd, sim);
+  expect_span_matches_value("unit reference", ref, sim);
+  return sim_ctx.fault_counters();
+}
+
+template <typename T, int... I>
+void check_every_op(const IhwConfig& cfg, Screen mode,
+                    fault::FaultCounters* total,
+                    std::integer_sequence<int, I...>) {
+  ((*total += check_parity<static_cast<Op>(I), T>(cfg, mode)), ...);
+}
+
+template <typename T>
+void run_parity_grid() {
+  for (Screen mode : {Screen::kOff, Screen::kFaults, Screen::kGuard}) {
+    fault::FaultCounters total;
+    for (const IhwConfig& cfg : parity_grid())
+      check_every_op<T>(cfg, mode, &total,
+                        std::make_integer_sequence<int, kNumOps>{});
+    EXPECT_EQ(total.total_injected() > 0, mode != Screen::kOff);
+    EXPECT_EQ(total.total_trips() > 0, mode == Screen::kGuard);
+  }
+}
+
+TEST(OpTable, EveryLayerAgreesFloat) { run_parity_grid<float>(); }
+TEST(OpTable, EveryLayerAgreesDouble) { run_parity_grid<double>(); }
+
+/// add_th <= 0: the scalar adder clamps TH to 1, while the fused mac kernels
+/// read th < 1 as a precise accumulate. Every multiply-accumulate path must
+/// clamp alike.
+template <typename T>
+void run_mac_th_clamp() {
+  const auto a = mixed_operands<T>(kN, 41), b = mixed_operands<T>(kN, 42),
+             c = mixed_operands<T>(kN, 43);
+  for (int th : {-3, 0}) {
+    for (MulMode m : {MulMode::ImpreciseSimple, MulMode::MitchellLog,
+                      MulMode::MitchellFull, MulMode::BitTruncated}) {
+      IhwConfig cfg = IhwConfig::mul_only(m, 0);
+      cfg.add_enabled = true;
+      cfg.add_th = th;
+      const FpDispatch d(cfg);
+      std::vector<T> span(kN), scalar(kN), batched(kN), sim(kN);
+      d.mac_n(a.data(), b.data(), c.data(), span.data(), kN);
+      for (std::size_t i = 0; i < kN; ++i)
+        scalar[i] = d.add(d.mul(a[i], b[i]), c[i]);
+      FpContext ctx(cfg);
+      ScopedContext active(ctx);
+      gpu::batch_mac(a.data(), b.data(), c.data(), batched.data(), kN);
+      using S = gpu::SimReal<T>;
+      for (std::size_t i = 0; i < kN; ++i)
+        sim[i] = (S(a[i]) * S(b[i]) + S(c[i])).value();
+      expect_span_matches("FpDispatch::mac_n", span, scalar);
+      expect_span_matches("gpu::batch_mac", batched, scalar);
+      expect_span_matches("SimReal mac", sim, scalar);
+    }
+  }
+}
+
+TEST(OpTable, MacAddThBelowOneClampsLikeScalarFloat) {
+  run_mac_th_clamp<float>();
+}
+TEST(OpTable, MacAddThBelowOneClampsLikeScalarDouble) {
+  run_mac_th_clamp<double>();
 }
 
 }  // namespace

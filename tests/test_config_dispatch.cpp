@@ -69,51 +69,6 @@ TEST(FpDispatch, PreciseConfigMatchesHostArithmetic) {
   EXPECT_EQ(d.fma(2.0f, 3.0f, 1.0f), 7.0f);
 }
 
-TEST(FpDispatch, RoutesToImpreciseUnits) {
-  IhwConfig cfg;
-  cfg.add_enabled = true;
-  cfg.add_th = 8;
-  cfg.mul_mode = MulMode::ImpreciseSimple;
-  cfg.rcp_enabled = cfg.sqrt_enabled = cfg.rsqrt_enabled = cfg.log2_enabled =
-      cfg.div_enabled = cfg.fma_enabled = true;
-  const FpDispatch d{cfg};
-  EXPECT_EQ(d.add(1024.0f, 1.0f), ifp_add(1024.0f, 1.0f, 8));
-  EXPECT_EQ(d.mul(1.75f, 1.75f), ifp_mul(1.75f, 1.75f));
-  EXPECT_EQ(d.rcp(3.0f), ircp(3.0f));
-  EXPECT_EQ(d.sqrt(3.0f), isqrt(3.0f));
-  EXPECT_EQ(d.rsqrt(3.0f), irsqrt(3.0f));
-  EXPECT_EQ(d.log2(3.0f), ilog2(3.0f));
-  EXPECT_EQ(d.div(3.0f, 7.0f), ifp_div(3.0f, 7.0f));
-  EXPECT_EQ(d.fma(1.5f, 1.5f, 0.5f), ifp_fma(1.5f, 1.5f, 0.5f, 8));
-}
-
-TEST(FpDispatch, MulModeSelectsDatapath) {
-  IhwConfig cfg;
-  cfg.mul_mode = MulMode::MitchellLog;
-  cfg.mul_trunc = 5;
-  EXPECT_EQ(FpDispatch{cfg}.mul(1.9f, 1.9f),
-            acfp_mul(1.9f, 1.9f, AcfpPath::Log, 5));
-  cfg.mul_mode = MulMode::MitchellFull;
-  EXPECT_EQ(FpDispatch{cfg}.mul(1.9f, 1.9f),
-            acfp_mul(1.9f, 1.9f, AcfpPath::Full, 5));
-  cfg.mul_mode = MulMode::BitTruncated;
-  EXPECT_EQ(FpDispatch{cfg}.mul(1.9f, 1.9f), trunc_mul(1.9f, 1.9f, 5));
-}
-
-TEST(FpDispatch, UnfusedFmaUsesConfiguredMulAndAdd) {
-  IhwConfig cfg;  // fma disabled, mul imprecise
-  cfg.mul_mode = MulMode::ImpreciseSimple;
-  const FpDispatch d{cfg};
-  EXPECT_EQ(d.fma(1.75f, 1.75f, 1.0f), ifp_mul(1.75f, 1.75f) + 1.0f);
-}
-
-TEST(FpDispatch, DoublePrecisionRouting) {
-  IhwConfig cfg = IhwConfig::mul_only(MulMode::MitchellFull, 44);
-  const FpDispatch d{cfg};
-  EXPECT_EQ(d.mul(1.9, 1.7), acfp_mul(1.9, 1.7, AcfpPath::Full, 44));
-  EXPECT_EQ(d.add(1.0, 2.0), 3.0);  // adds stay precise
-}
-
 TEST(MulMode, ToStringIsStable) {
   EXPECT_EQ(to_string(MulMode::Precise), "precise");
   EXPECT_EQ(to_string(MulMode::ImpreciseSimple), "ifpmul");

@@ -106,22 +106,6 @@ IhwConfig faulted_config(UnitClass cls, double rate,
   return cfg;
 }
 
-TEST(GuardedDispatch, InertConfigMatchesBaseDispatcherBitExactly) {
-  // No faults, no guard: results must be the plain imprecise datapath.
-  const IhwConfig cfg = IhwConfig::all_imprecise();
-  GuardedDispatch gd(cfg);
-  const FpDispatch base(cfg);
-  for (int i = 0; i < 2000; ++i) {
-    const float a = 1.0f + 0.001f * static_cast<float>(i);
-    const float b = 2.0f - 0.0007f * static_cast<float>(i);
-    ASSERT_EQ(fp::to_bits(gd.mul(a, b)), fp::to_bits(base.mul(a, b)));
-    ASSERT_EQ(fp::to_bits(gd.add(a, b)), fp::to_bits(base.add(a, b)));
-    ASSERT_EQ(fp::to_bits(gd.div(a, b)), fp::to_bits(base.div(a, b)));
-    ASSERT_EQ(fp::to_bits(gd.rsqrt(a)), fp::to_bits(base.rsqrt(a)));
-  }
-  EXPECT_FALSE(gd.counters().any());
-}
-
 TEST(GuardedDispatch, GuardAloneAcceptsLegitimateImprecision) {
   // The units' intrinsic approximation error (emax 25%) sits inside the
   // default tolerance (50%): the guard must not reject clean imprecise math.

@@ -143,8 +143,7 @@ TEST(SimdDispatch, NamesAndParsing) {
   EXPECT_STREQ(simd::isa_name(IsaLevel::kScalar), "scalar");
   EXPECT_STREQ(simd::isa_name(IsaLevel::kAvx2), "avx2");
   EXPECT_STREQ(simd::isa_name(IsaLevel::kAvx512), "avx512");
-  EXPECT_STREQ(simd::isa_name(IsaLevel::kNeon), "neon");
-  IsaLevel l = IsaLevel::kNeon;
+  IsaLevel l = IsaLevel::kScalar;
   EXPECT_TRUE(simd::isa_parse("avx2", &l));
   EXPECT_EQ(l, IsaLevel::kAvx2);
   EXPECT_FALSE(simd::isa_parse("AVX2", &l));
@@ -167,8 +166,6 @@ TEST(SimdDispatch, ActiveTableMatchesLevelAndScalarIsAllNull) {
 
 TEST(SimdDispatch, ForceClampsToSupportedAndRestores) {
   const IsaLevel before = simd::isa_active();
-  // NEON is a stub: forcing it must land on scalar, never fault.
-  EXPECT_EQ(simd::isa_force(IsaLevel::kNeon), IsaLevel::kScalar);
   // AVX-512 lands on itself, AVX2, or scalar depending on the host, and the
   // installed level is always executable.
   const IsaLevel got = simd::isa_force(IsaLevel::kAvx512);
@@ -194,7 +191,6 @@ TEST(SimdDispatch, EnvForceIsHonored) {
 
 TEST(SimdDispatch, BestSupportedIsExecutableAndActiveByDefault) {
   EXPECT_TRUE(simd::isa_supported(simd::isa_best_supported()));
-  EXPECT_FALSE(simd::isa_supported(IsaLevel::kNeon));
 }
 
 // --- exhaustive 16-bit-pattern cross-checks ----------------------------------
