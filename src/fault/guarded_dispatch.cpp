@@ -1,7 +1,5 @@
 #include "fault/guarded_dispatch.h"
 
-#include <cmath>
-
 namespace ihw::fault {
 
 void GuardedDispatch::begin_epoch(std::uint64_t e) {
@@ -23,41 +21,6 @@ void GuardedDispatch::end_launch() {
       ++counters_.run_degradations[static_cast<std::size_t>(c)];
     }
   }
-}
-
-bool GuardedDispatch::fault_draw(UnitClass uc, std::uint64_t* h) {
-  const int c = static_cast<int>(uc);
-  const std::uint32_t idx = op_idx_[c]++;
-  const FaultSpec& fs = config().faults.units[c];
-  if (!fs.active()) return false;
-  const std::uint64_t fh = fault_hash(config().faults.seed, uc, epoch_, idx);
-  if (!fault_fires(fh, fs.rate)) return false;
-  ++counters_.injected[c];
-  *h = splitmix64(fh ^ 0xa5a5a5a5a5a5a5a5ull);
-  return true;
-}
-
-bool GuardedDispatch::guard_violation(UnitClass uc, double pd, double rd,
-                                      double max_in) {
-  const GuardPolicy& g = config().guard;
-  bool violation = false;
-  if (std::isfinite(pd)) {
-    if (!std::isfinite(rd)) {
-      violation = true;  // NaN/Inf where the precise unit stays finite
-    } else {
-      const double scale = std::fabs(pd) + g.scale_floor * max_in;
-      violation = std::fabs(rd - pd) > g.tolerance * scale && scale > 0.0;
-    }
-  }
-  if (!violation) return false;
-  const int c = static_cast<int>(uc);
-  ++counters_.guard_trips[c];
-  epoch_tripped_ = true;
-  if (++epoch_trips_[c] >= g.epoch_trip_limit) {
-    epoch_degraded_[c] = true;
-    ++counters_.degraded_epochs[c];
-  }
-  return true;
 }
 
 GuardedDispatch GuardedDispatch::shard_clone() const {

@@ -1,23 +1,12 @@
 #pragma once
 // GuardedDispatch: the fault-injecting, self-checking wrapper around
-// ihw::FpDispatch. Every imprecise result flows through three stages:
-//
-//   1. Injection -- a deterministic counter-based fault (injector.h) may
-//      corrupt the unit's output word, modelling a voltage-overscaling
-//      timing error in that unit class.
-//   2. Guard -- when enabled, the result is screened against the precise
-//      datapath: a non-finite output where the precise unit stays finite,
-//      or a relative deviation beyond GuardPolicy::tolerance, is a
-//      violation. Violations optionally recover to the precise value.
-//   3. Circuit breaker -- epoch_trip_limit violations within one epoch
-//      degrade the class to precise for the rest of that epoch;
-//      run_trip_limit accumulated violations open the breaker at the next
-//      launch boundary (end_launch) and the class stays precise for the
-//      remainder of the run. Launch-boundary evaluation keeps degradation
-//      decisions schedule-invariant (DESIGN.md §9).
-//
-// Precise units never fault: a disabled (precise-path) class models a unit
-// at nominal voltage, which is exactly why degradation restores fidelity.
+// ihw::FpDispatch. Every imprecise result flows through three stages
+// (DESIGN.md §9): injection of a deterministic counter-based fault
+// (injector.h) into the unit's output word; an optional guard that screens
+// the result against the precise datapath and may recover to it; and a
+// two-level circuit breaker (per epoch, and per run at launch boundaries)
+// that degrades a class to precise. Precise units never fault: a disabled
+// class models a unit at nominal voltage.
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -55,36 +44,28 @@ class GuardedDispatch {
   /// True once any guard violation occurred in the current epoch.
   bool epoch_tripped() const { return epoch_tripped_; }
   /// True when the guard's retry mode wants this epoch re-run precise.
-  bool retry_epoch_needed() const {
-    return epoch_tripped_ && config().guard.retry_epoch;
-  }
+  bool retry_epoch_needed() const { return epoch_tripped_ && config().guard.retry_epoch; }
   void note_retry() { ++counters_.retried_epochs; }
   /// Launch-boundary breaker evaluation: classes whose accumulated trips
   /// reached run_trip_limit degrade to precise for the rest of the run.
   /// Idempotent; called by every launch/parallel-for epilogue.
   void end_launch();
 
-  bool run_degraded(UnitClass c) const {
-    return run_degraded_[static_cast<int>(c)];
-  }
+  bool run_degraded(UnitClass c) const { return run_degraded_[static_cast<int>(c)]; }
 
   /// A copy for a worker shard: same config and open breakers, zeroed
   /// counters and epoch state (merged back via merge_counters, shard order).
   GuardedDispatch shard_clone() const;
-  void merge_counters(const GuardedDispatch& shard) {
-    counters_ += shard.counters_;
-  }
+  void merge_counters(const GuardedDispatch& shard) { counters_ += shard.counters_; }
 
-  // --- dispatch surface (mirrors FpDispatch) ------------------------------
   /// One operation of class O through the three stages above. Unscreened
   /// (no faults, no guard) it is FpDispatch::op<O>. An unfused Fma screens
   /// its mul and add stages as their own units.
   template <Op O, typename T, typename... Ts>
   T op(T x, Ts... xs) {
     if (!screened_) return base_.template op<O>(x, xs...);
-    if constexpr (O == Op::Mac) {
-      return mac(x, xs...);
-    } else {
+    if constexpr (O == Op::Mac) return mac(x, xs...);
+    else {
       if constexpr (O == Op::Fma)
         if (!config().fma_enabled) return unfused(x, xs...);
       return screen<O>(x, xs...);
@@ -104,27 +85,13 @@ class GuardedDispatch {
     for (std::size_t i = 0; i < n; ++i) out[i] = op<O>(in[i]...);
   }
 
-  // Named entry points: one-line spellings of op<O> / op_n<O>.
-  template <typename T> T add(T a, T b) { return op<Op::Add>(a, b); }
-  template <typename T> T sub(T a, T b) { return op<Op::Sub>(a, b); }
-  template <typename T> T mul(T a, T b) { return op<Op::Mul>(a, b); }
-  template <typename T> T div(T a, T b) { return op<Op::Div>(a, b); }
-  template <typename T> T rcp(T x) { return op<Op::Rcp>(x); }
-  template <typename T> T rsqrt(T x) { return op<Op::Rsqrt>(x); }
-  template <typename T> T sqrt(T x) { return op<Op::Sqrt>(x); }
-  template <typename T> T log2(T x) { return op<Op::Log2>(x); }
-  template <typename T> T exp2(T x) { return op<Op::Exp2>(x); }
-  template <typename T> T fma(T a, T b, T c) { return op<Op::Fma>(a, b, c); }
+  // Named span entry points: one-line spellings of op_n<O>.
   template <typename T>
   void add_n(const T* a, const T* b, T* o, std::size_t n) { op_n<Op::Add>(o, n, a, b); }
   template <typename T>
   void mul_n(const T* a, const T* b, T* o, std::size_t n) { op_n<Op::Mul>(o, n, a, b); }
   template <typename T>
   void rcp_n(const T* x, T* o, std::size_t n) { op_n<Op::Rcp>(o, n, x); }
-  template <typename T>
-  void fma_n(const T* a, const T* b, const T* c, T* o, std::size_t n) {
-    op_n<Op::Fma>(o, n, a, b, c);
-  }
   template <typename T>
   void mac_n(const T* a, const T* b, const T* c, T* o, std::size_t n) {
     op_n<Op::Mac>(o, n, a, b, c);
@@ -145,17 +112,14 @@ class GuardedDispatch {
   /// (and repair under recover).
   template <typename T>
   T mac(T a, T b, T c) {
-    T r = unfused(a, b, c);
+    const T r = unfused(a, b, c);
     const GuardPolicy& g = config().guard;
-    if (g.enabled && !std::isfinite(static_cast<double>(r))) {
-      const T p = OpRow<Op::Mac>::precise(a, b, c);
-      if (std::isfinite(static_cast<double>(p))) {
-        ++counters_.nonfinite_flags;
-        epoch_tripped_ = true;
-        if (g.recover) r = p;
-      }
-    }
-    return r;
+    if (!g.enabled || std::isfinite(static_cast<double>(r))) return r;
+    const T p = OpRow<Op::Mac>::precise(a, b, c);
+    if (!std::isfinite(static_cast<double>(p))) return r;
+    ++counters_.nonfinite_flags;
+    epoch_tripped_ = true;
+    return g.recover ? p : r;
   }
 
   /// The three-stage pipeline described in the header comment, for the
@@ -163,32 +127,45 @@ class GuardedDispatch {
   template <Op O, typename T, typename... Ts>
   T screen(T x, Ts... xs) {
     using R = OpRow<O>;
-    const UnitClass uc = R::units[0];
-    const int c = static_cast<int>(uc);
+    const int c = static_cast<int>(R::unit);
     // A precise-path class sits at nominal voltage: no faults, no guard.
     if (!R::enabled(config()) || run_degraded_[c] || epoch_degraded_[c])
       return R::precise(x, xs...);
     T r = R::imprecise(config(), x, xs...);
-    if (std::uint64_t h = 0; fault_draw(uc, &h))
-      r = apply_fault(r, config().faults.units[c], h);
-    if (config().guard.enabled) {
-      const T p = R::precise(x, xs...);
-      double max_in = std::fabs(static_cast<double>(x));  // guard scale floor
-      ((max_in = std::max(std::fabs(static_cast<double>(xs)), max_in)), ...);
-      if (guard_violation(uc, static_cast<double>(p), static_cast<double>(r),
-                          max_in) &&
-          config().guard.recover)
-        r = p;
+    const std::uint32_t idx = op_idx_[c]++;  // this op's fault label
+    if (const FaultSpec& fs = config().faults.units[c]; fs.active()) {
+      const std::uint64_t h = fault_hash(config().faults.seed, R::unit, epoch_, idx);
+      if (fault_fires(h, fs.rate)) {
+        ++counters_.injected[c];
+        r = apply_fault(r, fs, splitmix64(h ^ 0xa5a5a5a5a5a5a5a5ull));
+      }
     }
-    return r;
+    if (!config().guard.enabled) return r;
+    double max_in = std::fabs(static_cast<double>(x));  // guard scale floor
+    ((max_in = std::max(std::fabs(static_cast<double>(xs)), max_in)), ...);
+    return guard(R::unit, R::precise(x, xs...), r, max_in);
   }
 
-  /// Consumes the next (epoch, op index) label of class uc; true, with the
-  /// fault word's hash in *h, when that op faults.
-  bool fault_draw(UnitClass uc, std::uint64_t* h);
-  /// Guard verdict on one result (`pd` precise, `rd` delivered): records a
-  /// violation and runs the epoch breaker. True on a violation.
-  bool guard_violation(UnitClass uc, double pd, double rd, double max_in);
+  /// Screens the delivered `r` against the precise `p`: a violation is
+  /// recorded, runs the epoch breaker, and returns `p` under recover.
+  template <typename T>
+  T guard(UnitClass uc, T p, T r, double max_in) {
+    const GuardPolicy& g = config().guard;
+    const double pd = static_cast<double>(p), rd = static_cast<double>(r);
+    if (!std::isfinite(pd)) return r;
+    const double scale = std::fabs(pd) + g.scale_floor * max_in;
+    const bool violation =  // NaN/Inf where the precise unit stays finite
+        !std::isfinite(rd) || (std::fabs(rd - pd) > g.tolerance * scale && scale > 0.0);
+    if (!violation) return r;
+    const int c = static_cast<int>(uc);
+    ++counters_.guard_trips[c];
+    epoch_tripped_ = true;
+    if (++epoch_trips_[c] >= g.epoch_trip_limit) {
+      epoch_degraded_[c] = true;
+      ++counters_.degraded_epochs[c];
+    }
+    return g.recover ? p : r;
+  }
 
   FpDispatch base_;
   FaultCounters counters_;

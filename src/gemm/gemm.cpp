@@ -8,8 +8,8 @@
 //    backends). Row blocks parallelize over runtime::batch_apply.
 //  - run(), screened (faults or guard active), and reference(): the
 //    canonical per-element schedule -- row epoch, j outer, k ascending --
-//    through GuardedDispatch::mul, so every multiply consumes the same
-//    (epoch, op index) fault label regardless of tile sizes or threads.
+//    through GuardedDispatch::op<Op::Mul>, so every multiply consumes the
+//    same (epoch, op index) fault label regardless of tile sizes or threads.
 //
 // Both paths evaluate, for every C element, the identical accumulation
 // chain c_{k+1} = acc(mul(A[i,k], B[k,j]), c_k) with k ascending from a +0
@@ -177,7 +177,7 @@ float canonical_element(const float* A, const float* B, std::size_t N,
   for (std::size_t k = 0; k < K; ++k) {
     const float a = arow[k];
     const float b = B[k * N + j];
-    const float p = ctx ? ctx->guarded().mul(a, b) : a * b;
+    const float p = ctx ? ctx->guarded().op<Op::Mul>(a, b) : a * b;
     if (wide) {
       w += static_cast<double>(p);
       if ((k + 1) % blk == 0 || k + 1 == K) {

@@ -58,12 +58,8 @@ template <typename T>
 void batch_rcp(const T* x, T* o, std::size_t n) { batch<Op::Rcp>(o, n, x); }
 template <typename T>
 void batch_rsqrt(const T* x, T* o, std::size_t n) { batch<Op::Rsqrt>(o, n, x); }
-/// Non-fused multiply-accumulate: out[i] = add(mul(a[i], b[i]), c[i])
-/// through the configured mul and add units. Counts one FMul and one FAdd
-/// per element (two ops through two units, unlike the fused Fma's FFma), so
-/// adopting it in a hot loop that previously ran batch_mul + batch_add
-/// changes neither counters nor results nor fault draws -- it only skips
-/// materializing the product span.
+/// out[i] = add(mul(a[i], b[i]), c[i]): counters, results and fault draws
+/// of batch_mul then batch_add, without materializing the product span.
 template <typename T>
 void batch_mac(const T* a, const T* b, const T* c, T* o, std::size_t n) {
   batch<Op::Mac>(o, n, a, b, c);
@@ -98,9 +94,8 @@ void batch_mac_scalar(const T* a, T b, const T* c3, T* out, std::size_t n) {
   batch_mac(a, detail::broadcast<T>(b, n), c3, out, n);
 }
 
-/// out[i] = rcp(x) for a uniform x: the scalar kernels recompute rcp of a
-/// loop-invariant operand once per element, so the batched port must both
-/// count and (under imprecise rcp) evaluate it per element too.
+/// out[i] = rcp(x) for a uniform x, evaluated and counted per element as the
+/// scalar kernels recompute it.
 template <typename T>
 void batch_rcp_scalar(T x, T* out, std::size_t n) {
   batch_rcp(detail::broadcast<T>(x, n), out, n);

@@ -7,6 +7,7 @@
 // modified functional units. Without an active context, operations are
 // precise and uncounted.
 #include <cmath>
+#include <compare>
 #include <concepts>
 
 #include "gpu/context.h"
@@ -24,9 +25,8 @@ class SimReal {
   SimReal(U v) : v_(static_cast<T>(v)) {}                  // NOLINT(runtime/explicit)
 
   T value() const { return v_; }
-  explicit operator T() const { return v_; }
   template <typename U>
-    requires(!std::is_same_v<U, T> && std::is_arithmetic_v<U>)
+    requires std::is_arithmetic_v<U>
   explicit operator U() const { return static_cast<U>(v_); }
 
   friend SimReal operator+(SimReal a, SimReal b) { return op<Op::Add>(a, b); }
@@ -39,12 +39,7 @@ class SimReal {
   SimReal& operator*=(SimReal o) { return *this = *this * o; }
   SimReal& operator/=(SimReal o) { return *this = *this / o; }
 
-  friend bool operator==(SimReal a, SimReal b) { return a.v_ == b.v_; }
-  friend bool operator!=(SimReal a, SimReal b) { return a.v_ != b.v_; }
-  friend bool operator<(SimReal a, SimReal b) { return a.v_ < b.v_; }
-  friend bool operator<=(SimReal a, SimReal b) { return a.v_ <= b.v_; }
-  friend bool operator>(SimReal a, SimReal b) { return a.v_ > b.v_; }
-  friend bool operator>=(SimReal a, SimReal b) { return a.v_ >= b.v_; }
+  friend auto operator<=>(SimReal, SimReal) = default;  // compares values
 
   friend SimReal sqrt(SimReal x) { return op<Op::Sqrt>(x); }
   friend SimReal rsqrt(SimReal x) { return op<Op::Rsqrt>(x); }
@@ -85,23 +80,16 @@ T fma_op(T a, T b, T c) { return OpRow<Op::Fma>::precise(a, b, c); }
 // --- global-memory access tracking ----------------------------------------
 // Models one 4-byte global access per call (plus its address computation as
 // one integer op, as GPGPU-Sim's instruction mix would show).
-template <typename T>
-inline T gload(const T& ref) {
+inline void count_access(OpClass k) {
   if (auto* c = FpContext::current()) {
-    c->bump(OpClass::Load);
+    c->bump(k);
     c->bump(OpClass::IAdd);
   }
-  return ref;
 }
-
 template <typename T>
-inline void gstore(T& ref, const T& v) {
-  if (auto* c = FpContext::current()) {
-    c->bump(OpClass::Store);
-    c->bump(OpClass::IAdd);
-  }
-  ref = v;
-}
+inline T gload(const T& ref) { count_access(OpClass::Load); return ref; }
+template <typename T>
+inline void gstore(T& ref, const T& v) { count_access(OpClass::Store); ref = v; }
 
 /// Explicit integer-work annotation (index arithmetic in kernels).
 inline void count_int_ops(std::uint64_t n) {

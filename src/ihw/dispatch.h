@@ -41,23 +41,11 @@ class FpDispatch {
 
   // Named entry points: one-line spellings of op<O> / op_n<O>.
   template <typename T> T add(T a, T b) const { return op<Op::Add>(a, b); }
-  template <typename T> T sub(T a, T b) const { return op<Op::Sub>(a, b); }
   template <typename T> T mul(T a, T b) const { return op<Op::Mul>(a, b); }
-  template <typename T> T div(T a, T b) const { return op<Op::Div>(a, b); }
-  template <typename T> T rcp(T x) const { return op<Op::Rcp>(x); }
-  template <typename T> T rsqrt(T x) const { return op<Op::Rsqrt>(x); }
-  template <typename T> T sqrt(T x) const { return op<Op::Sqrt>(x); }
-  template <typename T> T log2(T x) const { return op<Op::Log2>(x); }
-  template <typename T> T exp2(T x) const { return op<Op::Exp2>(x); }
-  template <typename T> T fma(T a, T b, T c) const { return op<Op::Fma>(a, b, c); }
   template <typename T>
-  void add_n(const T* a, const T* b, T* o, std::size_t n) const {
-    op_n<Op::Add>(o, n, a, b);
-  }
+  void add_n(const T* a, const T* b, T* o, std::size_t n) const { op_n<Op::Add>(o, n, a, b); }
   template <typename T>
-  void mul_n(const T* a, const T* b, T* o, std::size_t n) const {
-    op_n<Op::Mul>(o, n, a, b);
-  }
+  void mul_n(const T* a, const T* b, T* o, std::size_t n) const { op_n<Op::Mul>(o, n, a, b); }
   template <typename T>
   void rcp_n(const T* x, T* o, std::size_t n) const { op_n<Op::Rcp>(o, n, x); }
   /// out[i] = add(mul(a[i], b[i]), c[i]) through the configured units.

@@ -1,13 +1,12 @@
 #pragma once
 // The op table: one compile-time row per floating-point operation class,
 // the software form of the per-unit enable knob the paper added to
-// GPGPU-Sim (Ch. 5.1). A row holds its class's arity, enable predicate,
+// GPGPU-Sim (Ch. 5.1). A row holds the class's arity, enable predicate,
 // precise (host IEEE-754) fallback, imprecise scalar and span entry points,
-// fault UnitClass(es) and PerfCounters class(es). FpDispatch,
-// GuardedDispatch, gpu::batch and SimReal each keep one body templated on
-// Op that reads the rows at compile time (DESIGN.md §9). Fma and Mac are the
-// composite rows (`unfused`): with their fused unit off they run the
-// configured mul unit, then the configured add unit.
+// fault UnitClass and PerfCounters class(es); FpDispatch, GuardedDispatch,
+// gpu::batch and SimReal each keep one body templated on Op that reads them
+// (DESIGN.md §10). Fma and Mac are the composite (`unfused`) rows: with their
+// fused unit off they run the configured mul unit, then the add unit.
 #include <cmath>
 #include <cstddef>
 
@@ -35,7 +34,7 @@ template <int Arity, bool IhwConfig::*On, fault::UnitClass U, gpu::OpClass C,
           bool Unfused = false>
 struct OpUnit {
   static constexpr int arity = Arity;
-  static constexpr fault::UnitClass units[] = {U};
+  static constexpr fault::UnitClass unit = U;
   static constexpr gpu::OpClass counters[] = {C};
   static constexpr bool unfused = Unfused;
   static bool enabled(const IhwConfig& c) { return c.*On; }
@@ -113,9 +112,7 @@ struct OpRow<Op::Rcp> : OpUnit<1, &IhwConfig::rcp_enabled,
   template <typename T> static T precise(T x) { return T(1) / x; }
   template <typename T> static T imprecise(Cfg, T x) { return ircp(x); }
   template <typename T>
-  static void imprecise_n(Cfg, T* o, std::size_t n, const T* x) {
-    batch::ircp_n(x, o, n);
-  }
+  static void imprecise_n(Cfg, T* o, std::size_t n, const T* x) { batch::ircp_n(x, o, n); }
 };
 
 template <>
@@ -124,9 +121,7 @@ struct OpRow<Op::Rsqrt> : OpUnit<1, &IhwConfig::rsqrt_enabled,
   template <typename T> static T precise(T x) { return T(1) / std::sqrt(x); }
   template <typename T> static T imprecise(Cfg, T x) { return irsqrt(x); }
   template <typename T>
-  static void imprecise_n(Cfg, T* o, std::size_t n, const T* x) {
-    batch::irsqrt_n(x, o, n);
-  }
+  static void imprecise_n(Cfg, T* o, std::size_t n, const T* x) { batch::irsqrt_n(x, o, n); }
 };
 
 template <>
@@ -135,9 +130,7 @@ struct OpRow<Op::Sqrt> : OpUnit<1, &IhwConfig::sqrt_enabled,
   template <typename T> static T precise(T x) { return std::sqrt(x); }
   template <typename T> static T imprecise(Cfg, T x) { return isqrt(x); }
   template <typename T>
-  static void imprecise_n(Cfg, T* o, std::size_t n, const T* x) {
-    batch::isqrt_n(x, o, n);
-  }
+  static void imprecise_n(Cfg, T* o, std::size_t n, const T* x) { batch::isqrt_n(x, o, n); }
 };
 
 template <>
@@ -146,9 +139,7 @@ struct OpRow<Op::Log2> : OpUnit<1, &IhwConfig::log2_enabled,
   template <typename T> static T precise(T x) { return std::log2(x); }
   template <typename T> static T imprecise(Cfg, T x) { return ilog2(x); }
   template <typename T>
-  static void imprecise_n(Cfg, T* o, std::size_t n, const T* x) {
-    batch::ilog2_n(x, o, n);
-  }
+  static void imprecise_n(Cfg, T* o, std::size_t n, const T* x) { batch::ilog2_n(x, o, n); }
 };
 
 /// exp2 counts in the FLog2 class: the ex2 unit shares the SFU's log stage,
@@ -159,9 +150,7 @@ struct OpRow<Op::Exp2> : OpUnit<1, &IhwConfig::exp2_enabled,
   template <typename T> static T precise(T x) { return std::exp2(x); }
   template <typename T> static T imprecise(Cfg, T x) { return iexp2(x); }
   template <typename T>
-  static void imprecise_n(Cfg, T* o, std::size_t n, const T* x) {
-    batch::iexp2_n(x, o, n);
-  }
+  static void imprecise_n(Cfg, T* o, std::size_t n, const T* x) { batch::iexp2_n(x, o, n); }
 };
 
 /// The fused imprecise multiply-add unit.
@@ -184,8 +173,6 @@ template <>
 struct OpRow<Op::Mac> {
   using Cfg = const IhwConfig&;
   static constexpr int arity = 3;
-  static constexpr fault::UnitClass units[] = {fault::UnitClass::Mul,
-                                               fault::UnitClass::Add};
   static constexpr gpu::OpClass counters[] = {gpu::OpClass::FMul, gpu::OpClass::FAdd};
   static constexpr bool unfused = true;
   static bool enabled(Cfg g) { return g.add_enabled && g.mul_imprecise(); }
@@ -200,14 +187,13 @@ struct OpRow<Op::Mac> {
     fused_n(g, o, n, a, b, c, add_th(g), 0);
   }
   /// The fused kernel of g's multiplier with the accumulator of
-  /// batch::detail::acc_lane (th < 1: a precise add that drops `acc_trunc`
-  /// result LSBs). False, with nothing written, for the precise multiplier,
-  /// which has no fused kernel.
+  /// batch::detail::acc_lane (th < 1: a precise add that drops `at` result
+  /// LSBs). False, with nothing written, for the precise multiplier, which
+  /// has no fused kernel.
   template <typename T>
   static bool fused_n(Cfg g, T* o, std::size_t n, const T* a, const T* b, const T* c,
-                      int th, int acc_trunc) {
+                      int th, int at) {
     const int tr = g.mul_trunc;
-    const int at = acc_trunc;
     switch (g.mul_mode) {
       case MulMode::ImpreciseSimple: batch::ifp_mac_n(a, b, c, o, n, th, at); break;
       case MulMode::MitchellLog:

@@ -11,6 +11,7 @@
 #include <limits>
 #include <cmath>
 #include <random>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -229,17 +230,18 @@ TEST(BatchGuarded, ScreenedSpanMatchesScalarScreen) {
   // decisions are identical (DESIGN.md §10).
   scalar.begin_epoch(3);
   std::vector<float> m1(kN), s1(kN), f1(kN), r1(kN);
-  for (std::size_t i = 0; i < kN; ++i) m1[i] = scalar.mul(a[i], b[i]);
-  for (std::size_t i = 0; i < kN; ++i) s1[i] = scalar.add(m1[i], c[i]);
-  for (std::size_t i = 0; i < kN; ++i) f1[i] = scalar.fma(a[i], b[i], c[i]);
-  for (std::size_t i = 0; i < kN; ++i) r1[i] = scalar.rcp(a[i]);
+  for (std::size_t i = 0; i < kN; ++i) m1[i] = scalar.op<Op::Mul>(a[i], b[i]);
+  for (std::size_t i = 0; i < kN; ++i) s1[i] = scalar.op<Op::Add>(m1[i], c[i]);
+  for (std::size_t i = 0; i < kN; ++i)
+    f1[i] = scalar.op<Op::Fma>(a[i], b[i], c[i]);
+  for (std::size_t i = 0; i < kN; ++i) r1[i] = scalar.op<Op::Rcp>(a[i]);
   scalar.end_launch();
 
   batched.begin_epoch(3);
   std::vector<float> m2(kN), s2(kN), f2(kN), r2(kN);
   batched.mul_n(a.data(), b.data(), m2.data(), kN);
   batched.add_n(m2.data(), c.data(), s2.data(), kN);
-  batched.fma_n(a.data(), b.data(), c.data(), f2.data(), kN);
+  batched.op_n<Op::Fma>(f2.data(), kN, a.data(), b.data(), c.data());
   batched.rcp_n(a.data(), r2.data(), kN);
   batched.end_launch();
 
@@ -521,14 +523,22 @@ Accounting accounting(Op o) {
   return {};
 }
 
-/// precise; all_imprecise; each MulMode alone at trunc 0 and 8; and every
-/// unit on (exp2 too) at add_th 0, 1, 8, 27, with the fused Fma on and off.
+/// precise; all_imprecise; the adder alone at th 4; each MulMode alone at
+/// trunc 0 and 8 (and MitchellFull at 44, a truncation only double takes);
+/// and every unit on (exp2 too) at add_th 0, 1, 8, 27, with the fused Fma
+/// on and off.
+template <typename T>
 std::vector<IhwConfig> parity_grid() {
+  IhwConfig add_only = IhwConfig::precise();
+  add_only.add_enabled = true;
+  add_only.add_th = 4;
   std::vector<IhwConfig> grid = {IhwConfig::precise(),
-                                 IhwConfig::all_imprecise()};
+                                 IhwConfig::all_imprecise(), add_only};
   for (MulMode m : {MulMode::ImpreciseSimple, MulMode::MitchellLog,
                     MulMode::MitchellFull, MulMode::BitTruncated})
     for (int tr : {0, 8}) grid.push_back(IhwConfig::mul_only(m, tr));
+  if constexpr (std::is_same_v<T, double>)
+    grid.push_back(IhwConfig::mul_only(MulMode::MitchellFull, 44));
   for (int th : {0, 1, 8, 27}) {
     for (bool fma : {true, false}) {
       IhwConfig c = IhwConfig::all_imprecise();
@@ -614,7 +624,7 @@ template <typename T>
 void run_parity_grid() {
   for (Screen mode : {Screen::kOff, Screen::kFaults, Screen::kGuard}) {
     fault::FaultCounters total;
-    for (const IhwConfig& cfg : parity_grid())
+    for (const IhwConfig& cfg : parity_grid<T>())
       check_every_op<T>(cfg, mode, &total,
                         std::make_integer_sequence<int, kNumOps>{});
     EXPECT_EQ(total.total_injected() > 0, mode != Screen::kOff);

@@ -59,14 +59,14 @@ TEST(IhwConfig, DescribeNamesEnabledUnits) {
 TEST(FpDispatch, PreciseConfigMatchesHostArithmetic) {
   const FpDispatch d{IhwConfig::precise()};
   EXPECT_EQ(d.add(1.5f, 2.25f), 3.75f);
-  EXPECT_EQ(d.sub(1.5f, 2.25f), -0.75f);
+  EXPECT_EQ(d.op<Op::Sub>(1.5f, 2.25f), -0.75f);
   EXPECT_EQ(d.mul(1.5f, 2.0f), 3.0f);
-  EXPECT_EQ(d.div(3.0f, 2.0f), 1.5f);
-  EXPECT_EQ(d.rcp(4.0f), 0.25f);
-  EXPECT_EQ(d.sqrt(9.0f), 3.0f);
-  EXPECT_EQ(d.rsqrt(4.0f), 0.5f);
-  EXPECT_FLOAT_EQ(d.log2(8.0f), 3.0f);
-  EXPECT_EQ(d.fma(2.0f, 3.0f, 1.0f), 7.0f);
+  EXPECT_EQ(d.op<Op::Div>(3.0f, 2.0f), 1.5f);
+  EXPECT_EQ(d.op<Op::Rcp>(4.0f), 0.25f);
+  EXPECT_EQ(d.op<Op::Sqrt>(9.0f), 3.0f);
+  EXPECT_EQ(d.op<Op::Rsqrt>(4.0f), 0.5f);
+  EXPECT_FLOAT_EQ(d.op<Op::Log2>(8.0f), 3.0f);
+  EXPECT_EQ(d.op<Op::Fma>(2.0f, 3.0f, 1.0f), 7.0f);
 }
 
 TEST(MulMode, ToStringIsStable) {

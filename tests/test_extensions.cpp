@@ -56,9 +56,9 @@ TEST(Iexp2, InverseOfIlog2WithinCompoundBound) {
 
 TEST(Iexp2, DispatchRoutesByConfig) {
   IhwConfig cfg;
-  EXPECT_EQ(FpDispatch{cfg}.exp2(1.3f), std::exp2(1.3f));
+  EXPECT_EQ(FpDispatch{cfg}.op<Op::Exp2>(1.3f), std::exp2(1.3f));
   cfg.exp2_enabled = true;
-  EXPECT_EQ(FpDispatch{cfg}.exp2(1.3f), iexp2(1.3f));
+  EXPECT_EQ(FpDispatch{cfg}.op<Op::Exp2>(1.3f), iexp2(1.3f));
   EXPECT_NE(cfg.describe().find("exp2"), std::string::npos);
 }
 

@@ -117,8 +117,8 @@ TEST(GuardedDispatch, GuardAloneAcceptsLegitimateImprecision) {
   for (int i = 0; i < 2000; ++i) {
     const float a = 1.0f + 0.001f * static_cast<float>(i);
     const float b = 1.0f + 0.0009f * static_cast<float>(i);
-    ASSERT_EQ(fp::to_bits(gd.mul(a, b)), fp::to_bits(base.mul(a, b)));
-    ASSERT_EQ(fp::to_bits(gd.add(a, b)), fp::to_bits(base.add(a, b)));
+    ASSERT_EQ(fp::to_bits(gd.op<Op::Mul>(a, b)), fp::to_bits(base.mul(a, b)));
+    ASSERT_EQ(fp::to_bits(gd.op<Op::Add>(a, b)), fp::to_bits(base.add(a, b)));
   }
   EXPECT_EQ(gd.counters().total_trips(), 0u);
 }
@@ -136,7 +136,7 @@ TEST(GuardedDispatch, InjectsAtConfiguredRateAndGuardRecovers) {
   for (int i = 0; i < n; ++i) {
     const float a = 1.0f + 0.0001f * static_cast<float>(i);
     // Recovery replaces a violating result with the *precise* product.
-    const float r = gd.mul(a, 3.0f);
+    const float r = gd.op<Op::Mul>(a, 3.0f);
     const float imp = base.mul(a, 3.0f);
     ASSERT_TRUE(r == imp || r == a * 3.0f) << "i=" << i;
     ASSERT_TRUE(std::isfinite(r));
@@ -156,7 +156,7 @@ TEST(GuardedDispatch, UnguardedFaultsPassThroughCorrupted) {
   GuardedDispatch gd(cfg);  // guard disabled
   gd.begin_epoch(0);
   // Flipping the exponent MSB of 3.75 (biased exp 128) crushes it to ~1e-38.
-  const float r = gd.mul(1.5f, 2.5f);
+  const float r = gd.op<Op::Mul>(1.5f, 2.5f);
   EXPECT_LT(std::fabs(r), 1e-30f);
   EXPECT_GT(gd.counters().total_injected(), 0u);
   EXPECT_EQ(gd.counters().total_trips(), 0u);
@@ -172,7 +172,7 @@ TEST(GuardedDispatch, PreciseClassesNeverFault) {
   gd.begin_epoch(0);
   for (int i = 0; i < 100; ++i) {
     const float a = 1.0f + 0.01f * static_cast<float>(i);
-    ASSERT_EQ(gd.mul(a, 2.0f), a * 2.0f);
+    ASSERT_EQ(gd.op<Op::Mul>(a, 2.0f), a * 2.0f);
   }
   EXPECT_EQ(gd.counters().total_injected(), 0u);
 }
@@ -186,7 +186,7 @@ TEST(Breaker, EpochLimitDegradesClassForRestOfEpoch) {
   cfg.guard.run_trip_limit = std::uint64_t(-1);
   GuardedDispatch gd(cfg);
   gd.begin_epoch(0);
-  for (int i = 0; i < 50; ++i) gd.mul(1.5f, 2.5f);
+  for (int i = 0; i < 50; ++i) gd.op<Op::Mul>(1.5f, 2.5f);
   const auto mul = static_cast<int>(UnitClass::Mul);
   // Exactly epoch_trip_limit violations, then the class went precise (and a
   // precise class neither faults nor trips).
@@ -194,10 +194,10 @@ TEST(Breaker, EpochLimitDegradesClassForRestOfEpoch) {
   EXPECT_EQ(gd.counters().injected[mul], 3u);
   EXPECT_EQ(gd.counters().degraded_epochs[mul], 1u);
   // Inside the degraded epoch, results are exactly precise.
-  EXPECT_EQ(gd.mul(1.5f, 2.5f), 3.75f);
+  EXPECT_EQ(gd.op<Op::Mul>(1.5f, 2.5f), 3.75f);
   // A new epoch re-arms the class.
   gd.begin_epoch(1);
-  for (int i = 0; i < 50; ++i) gd.mul(1.5f, 2.5f);
+  for (int i = 0; i < 50; ++i) gd.op<Op::Mul>(1.5f, 2.5f);
   EXPECT_EQ(gd.counters().guard_trips[mul], 6u);
   EXPECT_EQ(gd.counters().degraded_epochs[mul], 2u);
   // Other classes were never degraded.
@@ -215,12 +215,12 @@ TEST(Breaker, RunLimitOpensAtLaunchBoundaryAndIsIdempotent) {
   cfg.guard.run_trip_limit = 5;
   GuardedDispatch gd(cfg);
   gd.begin_epoch(0);
-  for (int i = 0; i < 4; ++i) gd.mul(1.5f, 2.5f);
+  for (int i = 0; i < 4; ++i) gd.op<Op::Mul>(1.5f, 2.5f);
   gd.end_launch();  // 4 trips < 5: breaker stays closed
   EXPECT_FALSE(gd.run_degraded(UnitClass::Mul));
 
   gd.begin_epoch(1);
-  for (int i = 0; i < 3; ++i) gd.mul(1.5f, 2.5f);  // total 7 >= 5
+  for (int i = 0; i < 3; ++i) gd.op<Op::Mul>(1.5f, 2.5f);  // total 7 >= 5
   // Mid-launch the class is still armed; the breaker only opens at the
   // launch boundary (that is what keeps it schedule-invariant).
   EXPECT_FALSE(gd.run_degraded(UnitClass::Mul));
@@ -233,7 +233,7 @@ TEST(Breaker, RunLimitOpensAtLaunchBoundaryAndIsIdempotent) {
   EXPECT_EQ(gd.counters().run_degradations[mul], 1u);
   // Open breaker: the class is precise from now on, even in new epochs.
   gd.begin_epoch(2);
-  EXPECT_EQ(gd.mul(1.5f, 2.5f), 3.75f);
+  EXPECT_EQ(gd.op<Op::Mul>(1.5f, 2.5f), 3.75f);
   EXPECT_EQ(gd.counters().guard_trips[mul], 7u);  // no further trips
 }
 
@@ -244,7 +244,7 @@ TEST(Breaker, ShardCloneCarriesConfigAndOpenBreakersButNotCounters) {
   cfg.guard.run_trip_limit = 2;
   GuardedDispatch gd(cfg);
   gd.begin_epoch(0);
-  for (int i = 0; i < 3; ++i) gd.mul(1.5f, 2.5f);
+  for (int i = 0; i < 3; ++i) gd.op<Op::Mul>(1.5f, 2.5f);
   gd.end_launch();
   ASSERT_TRUE(gd.run_degraded(UnitClass::Mul));
 
@@ -252,7 +252,7 @@ TEST(Breaker, ShardCloneCarriesConfigAndOpenBreakersButNotCounters) {
   EXPECT_TRUE(shard.run_degraded(UnitClass::Mul));  // breaker state carried
   EXPECT_FALSE(shard.counters().any());             // counters zeroed
   shard.begin_epoch(9);
-  EXPECT_EQ(shard.mul(1.5f, 2.5f), 3.75f);  // degraded in the shard too
+  EXPECT_EQ(shard.op<Op::Mul>(1.5f, 2.5f), 3.75f);  // degraded in the shard too
 
   const auto before = gd.counters().guard_trips[static_cast<int>(UnitClass::Mul)];
   gd.merge_counters(shard);

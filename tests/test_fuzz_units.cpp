@@ -304,10 +304,10 @@ TEST(FuzzUnits, DispatcherClosedOverRandomConfigs) {
     const float b = random_bits_float(rng);
     EXPECT_TRUE(well_formed(d.add(a, b)) || !cfg.add_enabled);
     EXPECT_TRUE(well_formed(d.mul(a, b)) || cfg.mul_mode == MulMode::Precise);
-    (void)d.div(a, b);
-    (void)d.rcp(a);
-    (void)d.sqrt(std::fabs(a));
-    (void)d.fma(a, b, a);
+    (void)d.op<Op::Div>(a, b);
+    (void)d.op<Op::Rcp>(a);
+    (void)d.op<Op::Sqrt>(std::fabs(a));
+    (void)d.op<Op::Fma>(a, b, a);
   }
 }
 

@@ -284,7 +284,7 @@ void run_guarded_parity(IsaLevel level) {
     gd.begin_epoch(3);
     gd.mul_n(a.data(), b.data(), m->data(), kN);
     gd.add_n(m->data(), c.data(), s->data(), kN);
-    gd.fma_n(a.data(), b.data(), c.data(), f->data(), kN);
+    gd.op_n<Op::Fma>(f->data(), kN, a.data(), b.data(), c.data());
     gd.rcp_n(a.data(), r->data(), kN);
     gd.end_launch();
     *counters = gd.counters();

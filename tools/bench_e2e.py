@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end run of every paper bench: wall time, peak RSS, stdout hash.
 
-    python3 tools/bench_e2e.py [--build build] [--threads N] [--runs 2]
-                               [--out FILE.json]
+    python3 tools/bench_e2e.py [--build build] [--threads N] [--out FILE.json]
     python3 tools/bench_e2e.py --compare A.json B.json
 
 The first form runs each bench binary in <build>/bench/ (except the
@@ -11,7 +10,7 @@ generator) at its default arguments plus --threads=N, each run in a fresh
 temporary working directory, and writes one JSON document (stdout when
 --out is not given). Per bench it records the wall seconds and peak RSS of
 the first run, the sha256 of its stdout, one short hash per stdout line,
-and the indices of the lines whose text changed between the --runs runs of
+and the indices of the lines whose text changed between the RUNS runs of
 this build (timings and similar run-to-run noise). Peak RSS is the child's
 ru_maxrss as returned by os.wait4, the per-child form of
 getrusage(RUSAGE_CHILDREN), so no external time(1) is needed.
@@ -31,17 +30,19 @@ import threading
 import time
 
 EXCLUDED = {"micro_units", "micro_gemm", "serve_loadgen"}
+RUNS = 2          # runs per bench; lines that change between them are masked
+TIMEOUT_S = 900   # seconds allowed per bench run; past it the run is killed
 
 
 def line_hash(line):
     return hashlib.sha256(line).hexdigest()[:16]
 
 
-def run_bench(path, threads, timeout):
+def run_bench(path, threads):
     """Runs one bench in a fresh temp cwd; returns (stdout, wall_s, rss_kb, rc).
 
     stdout is read to EOF before the child is reaped with os.wait4, which is
-    what yields that child's own resource usage. A run past `timeout` is
+    what yields that child's own resource usage. A run past TIMEOUT_S is
     killed and reported with a negative exit code.
     """
     with tempfile.TemporaryDirectory(prefix="bench_e2e_") as cwd:
@@ -49,7 +50,7 @@ def run_bench(path, threads, timeout):
         proc = subprocess.Popen([path, f"--threads={threads}"], cwd=cwd,
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.DEVNULL)
-        timer = threading.Timer(timeout, proc.kill)
+        timer = threading.Timer(TIMEOUT_S, proc.kill)
         timer.start()
         out = proc.stdout.read()
         proc.stdout.close()
@@ -84,8 +85,7 @@ def measure(args):
     benches = {}
     for name in names:
         path = os.path.abspath(os.path.join(bench_dir, name))
-        runs = [run_bench(path, args.threads, args.timeout)
-                for _ in range(max(1, args.runs))]
+        runs = [run_bench(path, args.threads) for _ in range(RUNS)]
         out, wall, rss_kb, rc = runs[0]
         lines = out.splitlines()
         varying = set()
@@ -110,7 +110,7 @@ def measure(args):
         "build_type": build_type(args.build),
         "threads": args.threads,
         "isa": os.environ.get("IHW_FORCE_ISA", "default"),
-        "runs": max(1, args.runs),
+        "runs": RUNS,
         "total_wall_s": round(sum(b["wall_s"] for b in benches.values()), 3),
         "benches": benches,
     }
@@ -147,11 +147,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--build", default="build")
     ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--runs", type=int, default=2,
-                    help="runs per bench; lines that change between them are "
-                         "masked by --compare")
-    ap.add_argument("--timeout", type=float, default=900.0,
-                    help="seconds allowed per bench run")
     ap.add_argument("--out")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = ap.parse_args()
