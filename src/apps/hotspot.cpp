@@ -153,99 +153,6 @@ common::GridF run_hotspot(const HotspotParams& p, const HotspotInput& input) {
   return out;
 }
 
-template <typename Real>
-common::GridF run_hotspot_tiled(const HotspotParams& p,
-                                const HotspotInput& input) {
-  const std::size_t rows = p.rows, cols = p.cols;
-  const double grid_h = p.chip_height / static_cast<double>(rows);
-  const double grid_w = p.chip_width / static_cast<double>(cols);
-  const double cap = p.factor_chip * p.spec_heat * p.t_chip * grid_h * grid_w;
-  const double rx = grid_w / (2.0 * p.k_si * p.t_chip * grid_h);
-  const double ry = grid_h / (2.0 * p.k_si * p.t_chip * grid_w);
-  const double rz = p.t_chip / (p.k_si * grid_h * grid_w);
-  const double max_slope = p.max_pd / (p.factor_chip * p.t_chip * p.spec_heat);
-  const double step = p.precision / max_slope;
-
-  const Real step_div_cap = Real(static_cast<float>(step / cap));
-  const Real rx_r = Real(static_cast<float>(rx));
-  const Real ry_r = Real(static_cast<float>(ry));
-  const Real rz_r = Real(static_cast<float>(rz));
-  const Real amb = Real(static_cast<float>(p.amb_temp) + 236.0f);
-  const Real two = Real(2.0f);
-
-  common::Grid<Real> t(rows, cols), t_next(rows, cols), pow_in(rows, cols);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    t.data()[i] = Real(input.temp.data()[i]);
-    pow_in.data()[i] = Real(input.power.data()[i]);
-  }
-
-  constexpr unsigned B = 16;        // block edge
-  constexpr unsigned TB = B + 2;    // haloed tile edge
-  const gpu::Dim3 block(B, B);
-  const gpu::Dim3 grid(static_cast<unsigned>((cols + B - 1) / B),
-                       static_cast<unsigned>((rows + B - 1) / B));
-
-  // Clamped global fetch (replicated boundary, as in run_hotspot).
-  auto fetch = [&](std::ptrdiff_t r, std::ptrdiff_t c) {
-    const std::size_t rr = static_cast<std::size_t>(
-        std::clamp<std::ptrdiff_t>(r, 0, static_cast<std::ptrdiff_t>(rows) - 1));
-    const std::size_t cc = static_cast<std::size_t>(
-        std::clamp<std::ptrdiff_t>(c, 0, static_cast<std::ptrdiff_t>(cols) - 1));
-    return gpu::gload(t(rr, cc));
-  };
-
-  for (int it = 0; it < p.iterations; ++it) {
-    runtime::parallel_launch_blocks(grid, block, [&](const gpu::BlockCtx& blk) {
-      std::vector<Real> tile(TB * TB, Real(0.0f));
-      auto tix = [&](unsigned ty, unsigned tx) -> Real& {
-        return tile[ty * TB + tx];
-      };
-      const std::ptrdiff_t base_r =
-          static_cast<std::ptrdiff_t>(blk.block_idx().y) * B;
-      const std::ptrdiff_t base_c =
-          static_cast<std::ptrdiff_t>(blk.block_idx().x) * B;
-
-      // Phase 1: cooperative tile load (center + halo), then barrier.
-      blk.phase([&](const gpu::ThreadCtx& tc) {
-        const unsigned tx = tc.thread_idx.x, ty = tc.thread_idx.y;
-        const std::ptrdiff_t gr = base_r + ty, gc = base_c + tx;
-        tix(ty + 1, tx + 1) = fetch(gr, gc);
-        if (ty == 0) tix(0, tx + 1) = fetch(gr - 1, gc);
-        if (ty == B - 1) tix(TB - 1, tx + 1) = fetch(gr + 1, gc);
-        if (tx == 0) tix(ty + 1, 0) = fetch(gr, gc - 1);
-        if (tx == B - 1) tix(ty + 1, TB - 1) = fetch(gr, gc + 1);
-      });
-
-      // Phase 2: compute from the shared tile and store.
-      blk.phase([&](const gpu::ThreadCtx& tc) {
-        const unsigned tx = tc.thread_idx.x, ty = tc.thread_idx.y;
-        const std::size_t r = static_cast<std::size_t>(base_r) + ty;
-        const std::size_t c = static_cast<std::size_t>(base_c) + tx;
-        if (r >= rows || c >= cols) return;
-        const Real tc_ = tix(ty + 1, tx + 1);
-        const Real tn = tix(ty, tx + 1);
-        const Real ts = tix(ty + 2, tx + 1);
-        const Real tw = tix(ty + 1, tx);
-        const Real te = tix(ty + 1, tx + 2);
-        const Real pw = gpu::gload(pow_in(r, c));
-
-        const Real two_t = two * tc_;
-        const Real vert = (tn + ts - two_t) * rcp(ry_r);
-        const Real horiz = (tw + te - two_t) * rcp(rx_r);
-        const Real sink = (amb - tc_) * rcp(rz_r);
-        const Real delta = step_div_cap * (pw + vert + horiz + sink);
-        gpu::gstore(t_next(r, c), tc_ + delta);
-      });
-    });
-    std::swap(t, t_next);
-  }
-
-  common::GridF out(rows, cols);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out.data()[i] = static_cast<float>(t.data()[i]);
-  return out;
-}
-
 common::GridF run_hotspot_batched(const HotspotParams& p,
                                   const HotspotInput& input) {
   auto* ctx = gpu::FpContext::current();
@@ -328,9 +235,5 @@ template common::GridF run_hotspot<float>(const HotspotParams&,
                                           const HotspotInput&);
 template common::GridF run_hotspot<gpu::SimFloat>(const HotspotParams&,
                                                   const HotspotInput&);
-template common::GridF run_hotspot_tiled<float>(const HotspotParams&,
-                                                const HotspotInput&);
-template common::GridF run_hotspot_tiled<gpu::SimFloat>(const HotspotParams&,
-                                                        const HotspotInput&);
 
 }  // namespace ihw::apps

@@ -48,15 +48,6 @@ HotspotInput make_hotspot_input(const HotspotParams& p, std::uint64_t seed);
 template <typename Real>
 common::GridF run_hotspot(const HotspotParams& p, const HotspotInput& input);
 
-/// The shared-memory-tiled variant of the kernel (Rodinia's actual CUDA
-/// structure: load a haloed tile, __syncthreads, compute from the tile).
-/// Arithmetic is identical to run_hotspot -- outputs are bit-exact equal --
-/// but each cell is fetched from global memory ~once instead of five times,
-/// which is the on-chip reuse the power model's dram_fraction reflects.
-template <typename Real>
-common::GridF run_hotspot_tiled(const HotspotParams& p,
-                                const HotspotInput& input);
-
 /// Batched SoA port of run_hotspot: row-span sweeps through the gpu/batch.h
 /// fast path (config resolved once per span, branch-free vector-friendly
 /// unit kernels, counters bumped per span). Under an active FpContext with
@@ -71,9 +62,5 @@ extern template common::GridF run_hotspot<float>(const HotspotParams&,
                                                  const HotspotInput&);
 extern template common::GridF run_hotspot<gpu::SimFloat>(const HotspotParams&,
                                                          const HotspotInput&);
-extern template common::GridF run_hotspot_tiled<float>(const HotspotParams&,
-                                                       const HotspotInput&);
-extern template common::GridF run_hotspot_tiled<gpu::SimFloat>(
-    const HotspotParams&, const HotspotInput&);
 
 }  // namespace ihw::apps

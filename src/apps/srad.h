@@ -40,12 +40,6 @@ common::GridF run_srad(const SradParams& p, const common::GridF& image);
 double srad_pratt_fom(const common::GridF& despeckled,
                       const quality::EdgeMap& ideal_edges);
 
-/// Shared-memory-tiled variant: kernel 1 stages a haloed tile of J per block
-/// (Rodinia srad_v2's structure). Bit-exact equal outputs to run_srad; far
-/// fewer global loads in the derivative kernel.
-template <typename Real>
-common::GridF run_srad_tiled(const SradParams& p, const common::GridF& image);
-
 /// Batched SoA port of run_srad: both kernels sweep row spans through the
 /// gpu/batch.h fast path. Bit-identical outputs and PerfCounters to
 /// run_srad<SimFloat> under an unscreened FpContext; delegates to the scalar
@@ -57,9 +51,5 @@ extern template common::GridF run_srad<float>(const SradParams&,
                                               const common::GridF&);
 extern template common::GridF run_srad<gpu::SimFloat>(const SradParams&,
                                                       const common::GridF&);
-extern template common::GridF run_srad_tiled<float>(const SradParams&,
-                                                    const common::GridF&);
-extern template common::GridF run_srad_tiled<gpu::SimFloat>(
-    const SradParams&, const common::GridF&);
 
 }  // namespace ihw::apps

@@ -8,7 +8,6 @@
 #include "common/aligned.h"
 #include "fpcore/float_bits.h"
 #include "ihw/batch.h"
-#include "ihw/ihw.h"
 #include "qmc/sobol.h"
 #include "runtime/parallel.h"
 
@@ -24,77 +23,6 @@ T scatter(double u, double v, int exp_spread) {
   const double mant = 1.0 + u;
   const int e = static_cast<int>(std::floor(v * (2 * exp_spread + 1))) - exp_spread;
   return static_cast<T>(std::ldexp(mant, e));
-}
-
-/// One quasi-MC sample of the unit under test: maps the Sobol point p to
-/// operands and evaluates both the exact and the approximate implementation.
-template <typename T>
-std::pair<double, double> sample_unit(UnitKind kind, int param, int spread,
-                                      const double* p) {
-  const T a = scatter<T>(p[0], p[1], spread);
-  const T b = scatter<T>(p[2], p[3], spread);
-  double exact = 0.0, approx = 0.0;
-  switch (kind) {
-      case UnitKind::FpAdd:
-        exact = static_cast<double>(a) + static_cast<double>(b);
-        approx = static_cast<double>(ifp_add(a, b, param ? param : kDefaultAddTh));
-        break;
-      case UnitKind::FpSub:
-        exact = static_cast<double>(a) - static_cast<double>(b);
-        approx = static_cast<double>(ifp_sub(a, b, param ? param : kDefaultAddTh));
-        break;
-      case UnitKind::FpMul:
-        exact = static_cast<double>(a) * static_cast<double>(b);
-        approx = static_cast<double>(ifp_mul(a, b));
-        break;
-      case UnitKind::FpDiv:
-        exact = static_cast<double>(a) / static_cast<double>(b);
-        approx = static_cast<double>(ifp_div(a, b));
-        break;
-      case UnitKind::Rcp:
-        exact = 1.0 / static_cast<double>(a);
-        approx = static_cast<double>(ircp(a));
-        break;
-      case UnitKind::Rsqrt:
-        exact = 1.0 / std::sqrt(static_cast<double>(a));
-        approx = static_cast<double>(irsqrt(a));
-        break;
-      case UnitKind::Sqrt:
-        exact = std::sqrt(static_cast<double>(a));
-        approx = static_cast<double>(isqrt(a));
-        break;
-      case UnitKind::Log2:
-        exact = std::log2(static_cast<double>(a));
-        approx = static_cast<double>(ilog2(a));
-        break;
-      case UnitKind::Exp2: {
-        // Exercise the fraction segment: operand in [-4, 4).
-        const T e2in = static_cast<T>(p[0] * 8.0 - 4.0);
-        exact = std::exp2(static_cast<double>(e2in));
-        approx = static_cast<double>(iexp2(e2in));
-        break;
-      }
-      case UnitKind::Fma: {
-        const T c = scatter<T>(p[4], p[5], spread);
-        exact = static_cast<double>(a) * static_cast<double>(b) +
-                static_cast<double>(c);
-        approx = static_cast<double>(ifp_fma(a, b, c));
-        break;
-      }
-      case UnitKind::AcfpLog:
-        exact = static_cast<double>(a) * static_cast<double>(b);
-        approx = static_cast<double>(acfp_mul(a, b, AcfpPath::Log, param));
-        break;
-      case UnitKind::AcfpFull:
-        exact = static_cast<double>(a) * static_cast<double>(b);
-        approx = static_cast<double>(acfp_mul(a, b, AcfpPath::Full, param));
-        break;
-    case UnitKind::BitTrunc:
-      exact = static_cast<double>(a) * static_cast<double>(b);
-      approx = static_cast<double>(trunc_mul(a, b, param));
-      break;
-  }
-  return {exact, approx};
 }
 
 /// The exact-reference operation a unit kind is measured against. Distinct
@@ -122,8 +50,8 @@ ExactOp exact_op(UnitKind kind) {
   return ExactOp::Mul;
 }
 
-/// Exact-reference span: a plain vectorizable double loop, bitwise the same
-/// arithmetic the scalar sample_unit reference performs.
+/// Exact-reference span: a plain vectorizable double loop over the operands
+/// widened to double.
 template <typename T>
 void exact_unit_batch(ExactOp op, std::size_t m, const T* a, const T* b,
                       const T* c, double* exact) {
@@ -173,7 +101,8 @@ void exact_unit_batch(ExactOp op, std::size_t m, const T* a, const T* b,
 }
 
 /// Approximate-unit span through the batched kernels of ihw/batch.h
-/// (bit-identical per element to the scalar unit calls sample_unit makes).
+/// (bit-identical per element to the scalar units; tests/test_batch.cpp
+/// checks the two agree).
 template <typename T>
 void approx_unit_batch(UnitKind kind, int param, std::size_t m, const T* a,
                        const T* b, const T* c, T* approx) {
@@ -220,16 +149,6 @@ void approx_unit_batch(UnitKind kind, int param, std::size_t m, const T* a,
   }
 }
 
-/// SoA evaluation of one chunk: approximate span + exact reference span.
-/// sample_unit above remains the scalar reference; tests/test_batch.cpp
-/// checks the two agree.
-template <typename T>
-void eval_unit_batch(UnitKind kind, int param, std::size_t m, const T* a,
-                     const T* b, const T* c, double* exact, T* approx) {
-  approx_unit_batch<T>(kind, param, m, a, b, c, approx);
-  exact_unit_batch<T>(exact_op(kind), m, a, b, c, exact);
-}
-
 // Chunk granularity of the parallel sweep. Fixed (never derived from the
 // thread count) so the accumulation stream fed to ErrorStats/ErrorPmf is
 // identical for every --threads value, including the serial path.
@@ -263,78 +182,20 @@ GenRecipe gen_recipe(UnitKind kind) {
   return {spread, kind == UnitKind::Fma ? 6 : 4, kind == UnitKind::Exp2};
 }
 
-template <typename T>
-CharResult run(UnitKind kind, int param, std::uint64_t samples) {
-  CharResult res{make_label(kind, param), {}, ErrorPmf{}};
-  const bool ternary = kind == UnitKind::Fma;
-  // The adder needs exponent spread to hit every d-vs-TH case; multipliers
-  // and SFUs are characterized over [1,2)x[1,2) as in Ch. 4.2 (their error
-  // is exponent-invariant). Unary kinds simply ignore operand b.
-  const int spread =
-      (kind == UnitKind::FpAdd || kind == UnitKind::FpSub) ? 12 : 0;
-  const int dims = ternary ? 6 : 4;
-
-  // Sample evaluation is pure, so chunks fan out over the parallel runtime
-  // (each worker seeks its own Sobol stream to the chunk offset in O(log n));
-  // the streaming statistics consume the (exact, approx) pairs on this
-  // thread in ascending sample order -- a deterministic ordered reduction
-  // that is bit-identical to the serial loop at any thread count.
-  // Chunks stay SoA end to end (no pair-of-doubles zip): the producer hands
-  // the exact/approx spans straight to the consumer.
-  struct Chunk {
-    std::vector<double> exact;
-    std::vector<T> approx;
-  };
-  runtime::ordered_chunks<Chunk>(
-      samples, kCharChunk,
-      [&](std::uint64_t begin, std::uint64_t end) {
-        const std::size_t m = static_cast<std::size_t>(end - begin);
-        qmc::Sobol sobol(dims);
-        sobol.seek(begin);
-        // SoA producer: scalar Sobol + operand scatter (unchanged, so the
-        // sample stream is bit-identical to the per-sample loop), then one
-        // span-level unit evaluation per chunk through ihw/batch.h.  The
-        // operand scratch is thread-local so each worker touches the same
-        // pages every chunk instead of re-faulting fresh allocations.
-        static thread_local common::AlignedVector<T> a, b, c;
-        a.resize(m);
-        b.resize(m);
-        c.resize(ternary ? m : 0);
-        Chunk out{std::vector<double>(m), std::vector<T>(m)};
-        double p[6];
-        for (std::size_t i = 0; i < m; ++i) {
-          sobol.next(p);
-          if (kind == UnitKind::Exp2) {
-            a[i] = static_cast<T>(p[0] * 8.0 - 4.0);  // fraction segment
-          } else {
-            a[i] = scatter<T>(p[0], p[1], spread);
-            b[i] = scatter<T>(p[2], p[3], spread);
-            if (ternary) c[i] = scatter<T>(p[4], p[5], spread);
-          }
-        }
-        eval_unit_batch<T>(kind, param, m, a.data(), b.data(), c.data(),
-                           out.exact.data(), out.approx.data());
-        return out;
-      },
-      [&](Chunk&& chunk) {
-        for (std::size_t i = 0; i < chunk.exact.size(); ++i) {
-          const double exact = chunk.exact[i];
-          const double approx = static_cast<double>(chunk.approx[i]);
-          res.stats.observe(exact, approx);
-          if (exact != 0.0 && std::isfinite(exact))
-            res.pmf.observe_rel_error(std::fabs(approx - exact) /
-                                      std::fabs(exact));
-        }
-      });
-  return res;
-}
-
 /// Shared-stream grid characterization (DESIGN.md §11): one pass per
 /// generation recipe, with the quasi-MC operand stream generated once per
 /// chunk and the exact reference evaluated once per distinct ExactOp, then
-/// borrowed by every request in the group. Each request's accumulators
-/// consume its (exact, approx) stream in ascending sample order, so every
-/// CharResult is bit-identical to a standalone run<T>() of that request.
+/// borrowed by every request in the group. The adder needs exponent spread
+/// to hit every d-vs-TH case; multipliers and SFUs are characterized over
+/// [1,2)x[1,2) as in Ch. 4.2 (their error is exponent-invariant), and unary
+/// kinds ignore operand b.
+///
+/// Sample evaluation is pure, so chunks fan out over the parallel runtime
+/// (each worker seeks its own Sobol stream to the chunk offset in O(log n)).
+/// Each request's accumulators consume its (exact, approx) stream on this
+/// thread in ascending sample order: a deterministic ordered reduction,
+/// bit-identical to the serial loop at any thread count, and independent of
+/// which other requests share the pass.
 template <typename T>
 std::vector<CharResult> run_many(const std::vector<CharRequest>& reqs,
                                  std::uint64_t samples) {
@@ -386,8 +247,9 @@ std::vector<CharResult> run_many(const std::vector<CharRequest>& reqs,
           const std::size_t m = static_cast<std::size_t>(end - begin);
           qmc::Sobol sobol(g.recipe.dims);
           sobol.seek(begin);
-          // Identical operand generation to the single-request path, done
-          // once for the whole group instead of once per request.
+          // Operand generation runs once for the whole group. The scratch
+          // is thread-local so each worker touches the same pages every
+          // chunk instead of re-faulting fresh allocations.
           static thread_local common::AlignedVector<T> a, b, c;
           a.resize(m);
           b.resize(m);
@@ -460,11 +322,11 @@ std::string to_string(UnitKind k) {
 }
 
 CharResult characterize32(UnitKind kind, int param, std::uint64_t samples) {
-  return run<float>(kind, param, samples);
+  return run_many<float>({{kind, param}}, samples)[0];
 }
 
 CharResult characterize64(UnitKind kind, int param, std::uint64_t samples) {
-  return run<double>(kind, param, samples);
+  return run_many<double>({{kind, param}}, samples)[0];
 }
 
 std::vector<CharResult> characterize32_many(const std::vector<CharRequest>& reqs,

@@ -84,7 +84,10 @@ void row_block(const float* A, const float* B, float* C, std::size_t N,
   const bool wide = g.accum == AccumMode::kWideFp64;
   const std::size_t blk =
       static_cast<std::size_t>(std::max(1, g.accum_block));
-  const int th_eff = g.accum == AccumMode::kIfpAdd ? g.accum_th : 0;
+  // The fused kernels read th < 1 as a precise accumulate, so a TH below
+  // the adder's floor clamps to 1 here, as ifp_add does on the reference.
+  const int th_eff =
+      g.accum == AccumMode::kIfpAdd ? std::max(g.accum_th, 1) : 0;
   const int tr_eff = g.accum == AccumMode::kFp32Trunc
                          ? std::min(std::max(g.accum_trunc, 0), 22)
                          : 0;
@@ -118,7 +121,7 @@ void row_block(const float* A, const float* B, float* C, std::size_t N,
             // (exact product span, then the policy accumulator).
             for (std::size_t j = 0; j < jn; ++j) ptmp[j] = arow[kk] * brow[j];
             if (g.accum == AccumMode::kIfpAdd) {
-              batch::ifp_add_n(ptmp.data(), crow, crow, jn, g.accum_th);
+              batch::ifp_add_n(ptmp.data(), crow, crow, jn, th_eff);
             } else {
               const std::uint32_t keep = trunc_keep(tr_eff);
               for (std::size_t j = 0; j < jn; ++j)

@@ -1,9 +1,8 @@
 #pragma once
-// Functional SIMT execution layer: CUDA-like grid/block/thread launches with
-// block-wide barrier phases and per-block shared tiles. Functionally
-// equivalent to GPGPU-Sim's execution of a kernel (same thread IDs, same
-// barrier semantics); timing is modeled separately in timing.h from the
-// performance counters.
+// Functional SIMT execution layer: CUDA-like grid/block/thread launches.
+// Functionally equivalent to GPGPU-Sim's execution of a kernel (same thread
+// IDs); timing is modeled separately in timing.h from the performance
+// counters.
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -59,57 +58,6 @@ void launch(Dim3 grid, Dim3 block, K&& kernel) {
                 t.thread_idx = {tx, ty, tz};
                 kernel(t);
               }
-        });
-      }
-  finish_launch();
-}
-
-/// Block-level execution context for kernels that need __syncthreads():
-/// each call to phase() runs the given body once per thread of the block and
-/// acts as a barrier (phase k completes for every thread before phase k+1
-/// starts), which is exactly the CUDA barrier contract for well-formed
-/// kernels.
-class BlockCtx {
- public:
-  BlockCtx(Dim3 grid, Dim3 block, Dim3 block_idx)
-      : grid_dim_(grid), block_dim_(block), block_idx_(block_idx) {}
-
-  Dim3 grid_dim() const { return grid_dim_; }
-  Dim3 block_dim() const { return block_dim_; }
-  Dim3 block_idx() const { return block_idx_; }
-
-  /// Barrier-delimited phase: body(ThreadCtx) runs for every thread.
-  template <typename G>
-  void phase(G&& body) const {
-    ThreadCtx t;
-    t.grid_dim = grid_dim_;
-    t.block_dim = block_dim_;
-    t.block_idx = block_idx_;
-    for (unsigned tz = 0; tz < block_dim_.z; ++tz)
-      for (unsigned ty = 0; ty < block_dim_.y; ++ty)
-        for (unsigned tx = 0; tx < block_dim_.x; ++tx) {
-          t.thread_idx = {tx, ty, tz};
-          body(t);
-        }
-  }
-
- private:
-  Dim3 grid_dim_, block_dim_, block_idx_;
-};
-
-/// Launches a cooperative kernel: `kernel(BlockCtx&)` runs once per block and
-/// structures its work as barrier-delimited phases. Shared-memory tiles are
-/// ordinary stack/vector storage scoped to the kernel body.
-template <typename K>
-void launch_blocks(Dim3 grid, Dim3 block, K&& kernel) {
-  for (unsigned bz = 0; bz < grid.z; ++bz)
-    for (unsigned by = 0; by < grid.y; ++by)
-      for (unsigned bx = 0; bx < grid.x; ++bx) {
-        const std::uint64_t lb =
-            (static_cast<std::uint64_t>(bz) * grid.y + by) * grid.x + bx;
-        run_epoch(lb, [&] {
-          BlockCtx ctx(grid, block, Dim3{bx, by, bz});
-          kernel(ctx);
         });
       }
   finish_launch();

@@ -1,13 +1,13 @@
 #pragma once
 // Block-granular parallel execution runtime. Mirrors the serial SIMT entry
-// points of gpu/simt.h (launch / launch_blocks) plus a flat parallel_for for
-// the QMC sampling sweeps, scheduling work across the shared ThreadPool.
+// point of gpu/simt.h (launch) plus a flat parallel_for for the QMC sampling
+// sweeps, scheduling work across the shared ThreadPool.
 //
 // Determinism contract: results and merged performance counters are
 // bit-identical to the serial path regardless of thread count.
-//  - Blocks are independent under the CUDA barrier contract simt.h already
-//    documents (no cross-block data flow within one launch), so executing
-//    them concurrently cannot change any output value.
+//  - Blocks are independent (no cross-block data flow within one launch,
+//    the CUDA contract), so executing them concurrently cannot change any
+//    output value.
 //  - Imprecise dispatch keeps working off-main-thread: every shard runs
 //    under its own thread-local gpu::FpContext cloned from the caller's
 //    active IhwConfig (and open circuit breakers), and the per-shard
@@ -149,29 +149,6 @@ void parallel_launch(gpu::Dim3 grid, gpu::Dim3 block, K&& kernel,
               t.thread_idx = {tx, ty, tz};
               kernel(t);
             }
-      });
-    }
-  });
-  gpu::finish_launch();
-}
-
-/// Parallel mirror of gpu::launch_blocks: kernel(BlockCtx&) once per block,
-/// barrier phases inside a block stay sequential on one worker.
-template <typename K>
-void parallel_launch_blocks(gpu::Dim3 grid, gpu::Dim3 block, K&& kernel,
-                            int threads = 0) {
-  const std::uint64_t nblocks = grid.count();
-  const int shards = detail::resolve_shards(threads, nblocks);
-  if (shards <= 1) {
-    gpu::launch_blocks(grid, block, std::forward<K>(kernel));
-    return;
-  }
-  detail::run_sharded(shards, [&](int s) {
-    const auto [b0, b1] = detail::shard_range(nblocks, shards, s);
-    for (std::uint64_t lb = b0; lb < b1; ++lb) {
-      gpu::run_epoch(lb, [&] {
-        gpu::BlockCtx ctx(grid, block, detail::delinearize_block(grid, lb));
-        kernel(ctx);
       });
     }
   });

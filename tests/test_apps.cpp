@@ -86,43 +86,6 @@ TEST(Hotspot, TemperaturesStayPhysical) {
   }
 }
 
-TEST(Hotspot, TiledKernelBitExactMatchesPlainKernel) {
-  // The shared-memory-tiled variant performs identical arithmetic; only the
-  // memory path differs. Outputs must agree bit-for-bit under every config.
-  HotspotParams p;
-  p.rows = p.cols = 96;
-  p.iterations = 8;
-  p.steady_init = false;
-  const auto in = make_hotspot_input(p, 7);
-  for (const auto& cfg :
-       {IhwConfig::precise(), IhwConfig::all_imprecise()}) {
-    gpu::FpContext ctx(cfg);
-    gpu::ScopedContext scope(ctx);
-    const auto plain = run_hotspot<gpu::SimFloat>(p, in);
-    const auto tiled = run_hotspot_tiled<gpu::SimFloat>(p, in);
-    for (std::size_t i = 0; i < plain.size(); ++i)
-      ASSERT_EQ(plain.data()[i], tiled.data()[i]) << cfg.describe();
-  }
-}
-
-TEST(Hotspot, TilingCutsGlobalLoadsRoughlyFourfold) {
-  HotspotParams p;
-  p.rows = p.cols = 64;
-  p.iterations = 4;
-  p.steady_init = false;
-  const auto in = make_hotspot_input(p, 7);
-  const auto plain = run_with_config(
-      IhwConfig::precise(), [&] { run_hotspot<gpu::SimFloat>(p, in); });
-  const auto tiled = run_with_config(
-      IhwConfig::precise(), [&] { run_hotspot_tiled<gpu::SimFloat>(p, in); });
-  // Same arithmetic...
-  EXPECT_EQ(plain[gpu::OpClass::FAdd], tiled[gpu::OpClass::FAdd]);
-  EXPECT_EQ(plain[gpu::OpClass::FMul], tiled[gpu::OpClass::FMul]);
-  EXPECT_EQ(plain[gpu::OpClass::FRcp], tiled[gpu::OpClass::FRcp]);
-  // ...but far fewer global loads: ~(1 + halo/B + power) vs 6 per cell.
-  EXPECT_LT(tiled[gpu::OpClass::Load] * 5, plain[gpu::OpClass::Load] * 2);
-}
-
 // --- SRAD ------------------------------------------------------------------
 
 TEST(Srad, DiffusionReducesSpeckleVariance) {
@@ -188,37 +151,6 @@ TEST(Srad, DiffusionCoefficientStaysInUnitRange) {
     ASSERT_GE(v, in_lo - 1.0f);
     ASSERT_LE(v, in_hi + 1.0f);
   }
-}
-
-TEST(Srad, TiledKernelBitExactMatchesPlainKernel) {
-  SradParams p;
-  p.rows = p.cols = 96;
-  p.iterations = 10;
-  p.roi_r1 = p.roi_c1 = 20;
-  const auto in = make_srad_input(p, 11);
-  for (const auto& cfg : {IhwConfig::precise(), IhwConfig::all_imprecise()}) {
-    gpu::FpContext ctx(cfg);
-    gpu::ScopedContext scope(ctx);
-    const auto plain = run_srad<gpu::SimFloat>(p, in.image);
-    const auto tiled = run_srad_tiled<gpu::SimFloat>(p, in.image);
-    for (std::size_t i = 0; i < plain.size(); ++i)
-      ASSERT_EQ(plain.data()[i], tiled.data()[i]) << cfg.describe();
-  }
-}
-
-TEST(Srad, TilingReducesDerivativeKernelLoads) {
-  SradParams p;
-  p.rows = p.cols = 64;
-  p.iterations = 4;
-  p.roi_r1 = p.roi_c1 = 16;
-  const auto in = make_srad_input(p, 11);
-  const auto plain = run_with_config(
-      IhwConfig::precise(), [&] { run_srad<gpu::SimFloat>(p, in.image); });
-  const auto tiled = run_with_config(
-      IhwConfig::precise(), [&] { run_srad_tiled<gpu::SimFloat>(p, in.image); });
-  EXPECT_EQ(plain[gpu::OpClass::FMul], tiled[gpu::OpClass::FMul]);
-  EXPECT_EQ(plain[gpu::OpClass::FRcp], tiled[gpu::OpClass::FRcp]);
-  EXPECT_LT(tiled[gpu::OpClass::Load], plain[gpu::OpClass::Load]);
 }
 
 // --- RayTracing -------------------------------------------------------------

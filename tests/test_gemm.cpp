@@ -85,6 +85,9 @@ const std::vector<std::pair<std::string, GemmConfig>>& accum_policies() {
       {"fp32", policy(AccumMode::kFp32, 0)},
       {"fp32_trunc tr=6", policy(AccumMode::kFp32Trunc, 6)},
       {"ifp_add th=8", policy(AccumMode::kIfpAdd, 8)},
+      // TH below the datapath floor reads as TH=1 on every path.
+      {"ifp_add th=0", policy(AccumMode::kIfpAdd, 0)},
+      {"ifp_add th=-3", policy(AccumMode::kIfpAdd, -3)},
       {"wide_fp64 blk=5", policy(AccumMode::kWideFp64, 5)},
   };
   return kPolicies;

@@ -182,21 +182,6 @@ TEST(Simt, ThreadCoordinatesConsistent) {
   });
 }
 
-TEST(Simt, BlockPhasesActAsBarriers) {
-  // Phase 1 fills a shared tile; phase 2 reads neighbours: with barrier
-  // semantics every read sees phase-1 data.
-  launch_blocks(Dim3(2), Dim3(16), [&](const BlockCtx& blk) {
-    std::vector<int> tile(16, -1);
-    blk.phase([&](const ThreadCtx& t) {
-      tile[t.thread_idx.x] = static_cast<int>(t.thread_idx.x);
-    });
-    blk.phase([&](const ThreadCtx& t) {
-      const unsigned left = t.thread_idx.x == 0 ? 15u : t.thread_idx.x - 1;
-      ASSERT_EQ(tile[left], static_cast<int>(left));
-    });
-  });
-}
-
 TEST(Timing, RooflineSelectsBusiestResource) {
   GpuConfig gpu = GpuConfig::gtx480();
   PerfCounters c;

@@ -99,25 +99,6 @@ TEST(ParallelLaunch, MatchesSerialLaunchOutput) {
   }
 }
 
-TEST(ParallelLaunchBlocks, BarrierPhasesStaySequentialPerBlock) {
-  const Dim3 grid(6, 4), block(8, 8);
-  std::vector<int> phase1(grid.count() * block.count(), 0);
-  parallel_launch_blocks(
-      grid, block,
-      [&](const gpu::BlockCtx& blk) {
-        const std::uint64_t b =
-            blk.block_idx().y * blk.grid_dim().x + blk.block_idx().x;
-        int seen = 0;
-        blk.phase([&](const gpu::ThreadCtx&) { ++seen; });
-        // Barrier contract: phase 1 saw the whole block before phase 2 runs.
-        blk.phase([&](const gpu::ThreadCtx& t) {
-          phase1[b * block.count() + t.linear_tid()] = seen;
-        });
-      },
-      4);
-  for (int s : phase1) ASSERT_EQ(s, static_cast<int>(block.count()));
-}
-
 // Sharded counters merged in worker order must equal a single context
 // counting everything (shard-then-merge == single-context property).
 TEST(Counters, ShardThenMergeEqualsSingleContext) {
@@ -171,20 +152,6 @@ TEST(Determinism, HotspotBitIdenticalAcrossThreadCounts) {
     });
     EXPECT_TRUE(bit_identical(ref, out)) << "threads=" << threads;
     EXPECT_EQ(ref_counters.counts, c.counts) << "threads=" << threads;
-  }
-
-  // The tiled (barrier-phase) variant holds to the same contract.
-  common::GridF tiled_ref;
-  PerfCounters tiled_counters = run_with_config_parallel(cfg, 1, [&] {
-    tiled_ref = apps::run_hotspot_tiled<SimFloat>(p, input);
-  });
-  for (int threads : {2, 8}) {
-    common::GridF out;
-    PerfCounters c = run_with_config_parallel(cfg, threads, [&] {
-      out = apps::run_hotspot_tiled<SimFloat>(p, input);
-    });
-    EXPECT_TRUE(bit_identical(tiled_ref, out)) << "threads=" << threads;
-    EXPECT_EQ(tiled_counters.counts, c.counts) << "threads=" << threads;
   }
 }
 

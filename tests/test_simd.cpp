@@ -9,6 +9,7 @@
 // (and test_batch) under IHW_FORCE_ISA for every level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -101,6 +102,32 @@ void cross_check_units(IsaLevel level, const std::vector<float>& a,
     });
   }
   check("ircp_n", [&](float* out) { batch::ircp_n(a.data(), out, n); });
+
+  // Fused multiply-accumulate: the addend is b reversed, so every a*b class
+  // meets a different c class. Each kernel runs once into a separate span
+  // and once in place (out aliasing c, the GEMM tile accumulate).
+  const std::vector<float> c(b.rbegin(), b.rend());
+  const auto check_mac = [&](const char* what, auto&& mac) {
+    check(what, [&](float* out) { mac(c.data(), out); });
+    check(what, [&](float* out) {
+      std::copy(c.begin(), c.end(), out);
+      mac(out, out);
+    });
+  };
+  for (int th : {0, 1, 8, 27}) {
+    for (int acc_trunc : {0, 13}) {
+      check_mac("ifp_mac_n", [&](const float* cc, float* out) {
+        batch::ifp_mac_n(a.data(), b.data(), cc, out, n, th, acc_trunc);
+      });
+      check_mac("acfp_mac_n(log)", [&](const float* cc, float* out) {
+        batch::acfp_mac_n(a.data(), b.data(), cc, out, n, AcfpPath::Log, 8,
+                          th, acc_trunc);
+      });
+      check_mac("trunc_mac_n", [&](const float* cc, float* out) {
+        batch::trunc_mac_n(a.data(), b.data(), cc, out, n, 16, th, acc_trunc);
+      });
+    }
+  }
 }
 
 std::vector<float> from_bits_vec(const std::vector<std::uint32_t>& bits) {
