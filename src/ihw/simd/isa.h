@@ -5,12 +5,19 @@
 // (portable baseline) build used to leave their throughput to whatever the
 // compiler's autovectorizer managed at -march=x86-64. This layer replaces
 // that hope with guarantees: hand-vectorized AVX2 and AVX-512 backends of
-// the hottest kernels live in kernels_avx2.cpp / kernels_avx512.cpp (each
-// compiled with just enough -m flags for its own ISA), and a cpuid-based
-// detector picks the widest supported backend once per process. One default
-// build binary therefore hits peak span throughput on any x86-64 host; on
-// other architectures every table entry is null and the scalar reference
-// loops in batch.h run.
+// the hottest kernels, and a cpuid-based detector that picks the widest
+// supported backend once per process. One default build binary therefore
+// hits peak span throughput on any x86-64 host; on other architectures
+// every table entry is null and the scalar reference loops in batch.h run.
+//
+// Layout: every backend kernel is written once, as a template over an ISA
+// shim, in kernel_body.h. Each ISA is one shim file -- kernels_avx2.cpp,
+// kernels_avx512.cpp -- compiled with just enough -m flags for its own ISA:
+// it defines the shim (the lane vector and compare-result types plus ~25
+// always-inline intrinsic wrappers), includes the body and defines its
+// table below. To add a kernel, write one body function and give it one
+// KernelTable slot (and its place in Kernels<T>::table); to add an ISA,
+// write one shim file and give it an IsaLevel.
 //
 // Bit-identity contract: a backend entry is only allowed in a table if it
 // produces exactly the bits of the scalar reference lane in batch.h for
@@ -113,8 +120,10 @@ class ScopedIsa {
 };
 
 namespace detail {
-// Defined in kernels_avx2.cpp / kernels_avx512.cpp, compiled only on x86
-// (IHW_X86_SIMD); isa.cpp references them under the same guard.
+// Defined by the shim files kernels_avx2.cpp / kernels_avx512.cpp, compiled
+// only on x86 (IHW_X86_SIMD); isa.cpp references them under the same guard.
+// They are the only symbols those objects export (ctest
+// simd_kernel_exports).
 extern const KernelTable kAvx2Table;
 extern const KernelTable kAvx512Table;
 }  // namespace detail
