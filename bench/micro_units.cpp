@@ -292,8 +292,8 @@ void qmc_char_operands(std::vector<float>* a, std::vector<float>* b) {
   }
 }
 
-// Scalar evaluation, the shape of the old sample_unit() producer: one unit
-// call and one exact double reference per element.
+// Scalar evaluation: one unit call and one exact double reference per
+// element.
 void BM_QmcCharScalar(benchmark::State& state) {
   std::vector<float> a(kSpan), b(kSpan), approx(kSpan);
   std::vector<double> exact(kSpan);
@@ -313,8 +313,9 @@ void BM_QmcCharScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_QmcCharScalar);
 
-// Span evaluation, the shape of eval_unit_batch(): the approximate unit runs
-// as one batched span, the exact reference as a plain (vectorizable) loop.
+// Span evaluation, the shape of the characterization producer
+// (error/characterize.cpp): the approximate unit runs as one batched span,
+// the exact reference as a plain (vectorizable) loop.
 void BM_QmcCharBatch(benchmark::State& state) {
   std::vector<float> a(kSpan), b(kSpan), approx(kSpan);
   std::vector<double> exact(kSpan);

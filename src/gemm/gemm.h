@@ -52,7 +52,7 @@ std::string to_string(AbftMode m);
 struct GemmConfig {
   AccumMode accum = AccumMode::kFp32;
   int accum_trunc = 0;   ///< kFp32Trunc: result LSBs dropped per accumulate
-  int accum_th = 8;      ///< kIfpAdd: TH of the accumulator adder
+  int accum_th = 8;      ///< kIfpAdd: TH of the accumulator adder (< 1 is 1)
   int accum_block = 32;  ///< kWideFp64: k steps per wide block (>= 1)
 
   // Cache-blocking tile sizes (rows x depth x columns). Any positive values

@@ -11,7 +11,7 @@
 // type M and a few dozen always-inline intrinsic wrappers:
 //
 //   load store set1 and_ or_ xor_ add sub srli slli srlv sllv min max
-//   eq ne gt mand mor mandnot sel zero_if add_carry ps_bits mul48 add_ps
+//   eq gt mand mor mandnot sel zero_if add_carry ps_bits mul48 add_ps
 //   ircp_dp, and kLanes (lanes per V)
 //
 // Only a shim's translation unit includes this header, after <immintrin.h>
@@ -171,8 +171,8 @@ struct Kernels {
     const V xaligned = T::slli(
         T::srli(T::or_(hidden, fx), drop > 0 ? drop : 0), drop < 0 ? -drop : 0);
     const V yaligned = T::sllv(T::srlv(T::or_(hidden, fy), shpos), shneg);
-    const V s = T::sel(T::add(xaligned, yaligned), T::sub(xaligned, yaligned),
-                       T::ne(sx, sy));
+    const V s = T::sel(T::sub(xaligned, yaligned), T::add(xaligned, yaligned),
+                       T::eq(sx, sy));
 
     // Leading-one position p = bit_width(s|1) - 1: fill below the MSB,
     // isolate it, and read its exponent off an exact power-of-two
@@ -204,7 +204,8 @@ struct Kernels {
     r = T::sel(r, T::and_(sa, sb), T::mand(A.is_zero, B.is_zero));
     r = T::sel(r, bb, B.is_inf);
     r = T::sel(r, ab, A.is_inf);
-    r = T::sel(r, qnan, T::mand(T::mand(A.is_inf, B.is_inf), T::ne(sa, sb)));
+    r = T::sel(r, qnan,
+               T::mandnot(T::eq(sa, sb), T::mand(A.is_inf, B.is_inf)));
     return T::sel(r, qnan, T::mor(A.is_nan, B.is_nan));
   }
 

@@ -43,13 +43,13 @@ struct Avx2 {
   IHW_SHIM V max(V a, V b) { return _mm256_max_epi32(a, b); }
 
   IHW_SHIM M eq(V a, V b) { return _mm256_cmpeq_epi32(a, b); }
-  IHW_SHIM M ne(V a, V b) { return xor_(eq(a, b), set1(~0u)); }
   IHW_SHIM M gt(V a, V b) { return _mm256_cmpgt_epi32(a, b); }
   IHW_SHIM M mand(M a, M b) { return and_(a, b); }
   IHW_SHIM M mor(M a, M b) { return or_(a, b); }
   /// ~a & b.
   IHW_SHIM M mandnot(M a, M b) { return _mm256_andnot_si256(a, b); }
-  /// m ? yes : no per lane.
+  /// m ? yes : no per lane. The body never passes an inverted compare: GCC 12
+  /// at -O2 miscompiles blendv on ~cmpeq once AVX-512VL is also enabled.
   IHW_SHIM V sel(V no, V yes, M m) { return _mm256_blendv_epi8(no, yes, m); }
   /// v with the lanes of m cleared.
   IHW_SHIM V zero_if(M m, V v) { return _mm256_andnot_si256(m, v); }

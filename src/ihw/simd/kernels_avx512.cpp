@@ -39,7 +39,6 @@ struct Avx512 {
   IHW_SHIM V max(V a, V b) { return _mm512_max_epi32(a, b); }
 
   IHW_SHIM M eq(V a, V b) { return _mm512_cmpeq_epi32_mask(a, b); }
-  IHW_SHIM M ne(V a, V b) { return _mm512_cmpneq_epi32_mask(a, b); }
   IHW_SHIM M gt(V a, V b) { return _mm512_cmpgt_epi32_mask(a, b); }
   IHW_SHIM M mand(M a, M b) { return static_cast<M>(a & b); }
   IHW_SHIM M mor(M a, M b) { return static_cast<M>(a | b); }
