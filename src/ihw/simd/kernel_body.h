@@ -8,7 +8,7 @@
 // reference by construction (and enforced input-exhaustively by
 // tests/test_simd.cpp). T is an ISA shim -- kernels_avx2.cpp,
 // kernels_avx512.cpp -- that supplies the lane vector V, the compare-result
-// type M and a few dozen always-inline intrinsic wrappers:
+// type M and about 25 always-inline intrinsic wrappers:
 //
 //   load store set1 and_ or_ xor_ add sub srli slli srlv sllv min max
 //   eq gt mand mor mandnot sel zero_if add_carry ps_bits mul48 add_ps
