@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     {
       gpu::FpContext ctx(cfg);
       gpu::ScopedContext scope(ctx);
-      imp = run_hotspot<gpu::SimFloat>(p, input);
+      imp = run_hotspot_batched(p, input);
     }
     const auto err = error::characterize32(error::UnitKind::FpAdd, th, 200000);
     const auto m = db.ihw(power::OpKind::FAdd, th);

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     BenchRun r{"hotspot", {}, {}};
     r.params.dram_fraction = 0.15;
     r.counters = run_with_config(IhwConfig::precise(),
-                                 [&] { run_hotspot<gpu::SimFloat>(p, in); });
+                                 [&] { run_hotspot_batched(p, in); });
     runs.push_back(r);
   }
   {  // SRAD: two full-grid passes streaming five derivative grids.
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     BenchRun r{"srad", {}, {}};
     r.params.dram_fraction = 0.30;
     r.counters = run_with_config(IhwConfig::precise(),
-                                 [&] { run_srad<gpu::SimFloat>(p, in.image); });
+                                 [&] { run_srad_batched(p, in.image); });
     runs.push_back(r);
   }
   {  // RayTracing: compute bound, divergent control flow.
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     BenchRun r{"cp", {}, {}};
     r.params.dram_fraction = 0.05;  // atom array fits in cache
     r.counters = run_with_config(IhwConfig::precise(),
-                                 [&] { run_cp<gpu::SimFloat>(p, atoms); });
+                                 [&] { run_cp_batched(p, atoms); });
     runs.push_back(r);
   }
 

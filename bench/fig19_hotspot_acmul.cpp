@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
       {
         gpu::FpContext ctx(cfg);
         gpu::ScopedContext scope(ctx);
-        imp = run_hotspot<gpu::SimFloat>(p, input);
+        imp = run_hotspot_batched(p, input);
       }
       const auto m = db.multiplier(mode, tr, false);
       t.row()

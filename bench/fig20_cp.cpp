@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       {
         gpu::FpContext ctx(cfg);
         gpu::ScopedContext scope(ctx);
-        imp = run_cp<gpu::SimFloat>(p, atoms);
+        imp = run_cp_batched(p, atoms);
       }
       const double mae = quality::mae(ref, imp);
       const auto m = db.multiplier(mode, tr, false);

@@ -112,7 +112,7 @@ int main(int argc, char** argv) try {
                         sweep::EvalRecord rec;
                         const auto in = make_hotspot_input(hs, 7);
                         rec.perf = run_with_config(precise, [&] {
-                          run_hotspot<gpu::SimFloat>(hs, in);
+                          run_hotspot_batched(hs, in);
                         });
                         return rec;
                       }});
@@ -120,7 +120,7 @@ int main(int argc, char** argv) try {
                         sweep::EvalRecord rec;
                         const auto in = make_srad_input(sr, 11);
                         rec.perf = run_with_config(precise, [&] {
-                          run_srad<gpu::SimFloat>(sr, in.image);
+                          run_srad_batched(sr, in.image);
                         });
                         return rec;
                       }});

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   quality::QualityEval eval = [&](const IhwConfig& cfg) {
     gpu::FpContext ctx(cfg);
     gpu::ScopedContext scope(ctx);
-    const auto out = run_srad<gpu::SimFloat>(p, input.image);
+    const auto out = run_srad_batched(p, input.image);
     return srad_pratt_fom(out, input.ideal_edges);
   };
 

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   {
     gpu::FpContext ctx(IhwConfig::precise());
     gpu::ScopedContext scope(ctx);
-    ref = run_hotspot<gpu::SimFloat>(p, input);
+    ref = run_hotspot_batched(p, input);
     counters = ctx.counters();
   }
 
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   {
     gpu::FpContext ctx(cfg);
     gpu::ScopedContext scope(ctx);
-    imp = run_hotspot<gpu::SimFloat>(p, input);
+    imp = run_hotspot_batched(p, input);
   }
 
   common::write_pgm("thermal_precise.pgm", ref);

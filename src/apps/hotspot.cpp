@@ -1,7 +1,7 @@
 #include "apps/hotspot.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/aligned.h"
@@ -15,6 +15,33 @@ namespace {
 using gpu::gload;
 using gpu::gstore;
 using gpu::rcp;
+
+// Rodinia's RC model of one grid cell, derived in double on the host, and
+// the simulation's time step (precision over the largest slope).
+struct RcModel {
+  double cap, rx, ry, rz, step;
+};
+
+RcModel rc_model(const HotspotParams& p) {
+  const double grid_h = p.chip_height / static_cast<double>(p.rows);
+  const double grid_w = p.chip_width / static_cast<double>(p.cols);
+  return {p.factor_chip * p.spec_heat * p.t_chip * grid_h * grid_w,
+          grid_w / (2.0 * p.k_si * p.t_chip * grid_h),
+          grid_h / (2.0 * p.k_si * p.t_chip * grid_w),
+          p.t_chip / (p.k_si * grid_h * grid_w),
+          p.precision / (p.max_pd / (p.factor_chip * p.t_chip * p.spec_heat))};
+}
+
+// Two adjacent cells per SSE2 divpd: the relaxation is divider-bound.
+using double2 = double __attribute__((vector_size(16)));
+using float2 = float __attribute__((vector_size(8)));
+
+template <typename V, typename T>
+V load(const T* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
 
 }  // namespace
 
@@ -46,44 +73,59 @@ HotspotInput make_hotspot_input(const HotspotParams& p, std::uint64_t seed) {
       for (std::size_t c = c0; c < c0 + w; ++c) in.power(r, c) += density;
   }
 
-  if (!p.steady_init) return in;
-
   // Rodinia ships steady-state temperature inputs (temp_512 matches
   // power_512), so the benchmark measures equilibrium tracking rather than
   // a cold-start transient. Reproduce that: relax the field to (near)
   // steady state with a plain double-precision solver before handing it out.
-  const double grid_h = p.chip_height / static_cast<double>(p.rows);
-  const double grid_w = p.chip_width / static_cast<double>(p.cols);
-  const double cap = p.factor_chip * p.spec_heat * p.t_chip * grid_h * grid_w;
-  const double rx = grid_w / (2.0 * p.k_si * p.t_chip * grid_h);
-  const double ry = grid_h / (2.0 * p.k_si * p.t_chip * grid_w);
-  const double rz = p.t_chip / (p.k_si * grid_h * grid_w);
+  if (!p.steady_init) return in;
+  const std::vector<double> t = relax_to_steady_state(p, in);
+  std::copy(t.begin(), t.end(), in.temp.begin());
+  return in;
+}
+
+std::vector<double> relax_to_steady_state(const HotspotParams& p,
+                                          const HotspotInput& in) {
+  const RcModel m = rc_model(p);
   // Largest stable explicit step (the lateral conductances dominate).
-  const double step = 0.9 * cap / (2.0 / rx + 2.0 / ry + 1.0 / rz);
-  const double sdc = step / cap;
+  const double step = 0.9 * m.cap / (2.0 / m.rx + 2.0 / m.ry + 1.0 / m.rz);
+  const double sdc = step / m.cap;
   const double amb = p.amb_temp + 236.0;
 
   std::vector<double> t(in.temp.begin(), in.temp.end());
+  if (t.empty()) return t;
   std::vector<double> tn(t.size());
-  const std::size_t rows = p.rows, cols = p.cols;
+  const std::size_t rows = p.rows, cols = p.cols, last = cols - 1;
   for (int it = 0; it < 3000; ++it) {
     for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < cols; ++c) {
-        const std::size_t i = r * cols + c;
-        const double tc = t[i];
-        const double tN = r > 0 ? t[i - cols] : tc;
-        const double tS = r + 1 < rows ? t[i + cols] : tc;
-        const double tW = c > 0 ? t[i - 1] : tc;
-        const double tE = c + 1 < cols ? t[i + 1] : tc;
-        tn[i] = tc + sdc * (in.power(r, c) + (tN + tS - 2.0 * tc) / ry +
-                            (tW + tE - 2.0 * tc) / rx + (amb - tc) / rz);
-      }
+      const double* __restrict row = t.data() + r * cols;
+      const double* __restrict north = r > 0 ? row - cols : row;
+      const double* __restrict south = r + 1 < rows ? row + cols : row;
+      const float* __restrict power = &in.power(r, 0);
+      double* __restrict out = tn.data() + r * cols;
+      // Cell c (V = double) or cells c, c + 1 (V = double2) with west and
+      // east neighbours at w and e: the same IEEE operations either way.
+      const auto relax = [&]<typename V>(std::size_t c, std::size_t w,
+                                         std::size_t e, V pw) {
+        const V tc = load<V>(row + c), tN = load<V>(north + c),
+                tS = load<V>(south + c), tW = load<V>(row + w),
+                tE = load<V>(row + e);
+        const V v = tc + sdc * (pw + (tN + tS - 2.0 * tc) / m.ry +
+                                (tW + tE - 2.0 * tc) / m.rx +
+                                (amb - tc) / m.rz);
+        std::memcpy(out + c, &v, sizeof v);
+      };
+      // Edge columns replicate the centre cell for their missing neighbour.
+      relax(0, 0, std::min<std::size_t>(1, last), double{power[0]});
+      std::size_t c = 1;
+      for (; c + 1 < last; c += 2)
+        relax(c, c - 1, c + 1,
+              __builtin_convertvector(load<float2>(power + c), double2));
+      if (c < last) relax(c, c - 1, c + 1, double{power[c]});
+      if (last > 0) relax(last, last - 1, last, double{power[last]});
     }
     t.swap(tn);
   }
-  for (std::size_t i = 0; i < t.size(); ++i)
-    in.temp.data()[i] = static_cast<float>(t[i]);
-  return in;
+  return t;
 }
 
 template <typename Real>
@@ -91,19 +133,11 @@ common::GridF run_hotspot(const HotspotParams& p, const HotspotInput& input) {
   const std::size_t rows = p.rows, cols = p.cols;
 
   // Host-side (precise) derivation of the Rodinia simulation constants.
-  const double grid_h = p.chip_height / static_cast<double>(rows);
-  const double grid_w = p.chip_width / static_cast<double>(cols);
-  const double cap = p.factor_chip * p.spec_heat * p.t_chip * grid_h * grid_w;
-  const double rx = grid_w / (2.0 * p.k_si * p.t_chip * grid_h);
-  const double ry = grid_h / (2.0 * p.k_si * p.t_chip * grid_w);
-  const double rz = p.t_chip / (p.k_si * grid_h * grid_w);
-  const double max_slope = p.max_pd / (p.factor_chip * p.t_chip * p.spec_heat);
-  const double step = p.precision / max_slope;
-
-  const Real step_div_cap = Real(static_cast<float>(step / cap));
-  const Real rx_r = Real(static_cast<float>(rx));
-  const Real ry_r = Real(static_cast<float>(ry));
-  const Real rz_r = Real(static_cast<float>(rz));
+  const RcModel m = rc_model(p);
+  const Real step_div_cap = Real(static_cast<float>(m.step / m.cap));
+  const Real rx_r = Real(static_cast<float>(m.rx));
+  const Real ry_r = Real(static_cast<float>(m.ry));
+  const Real rz_r = Real(static_cast<float>(m.rz));
   const Real amb = Real(static_cast<float>(p.amb_temp) + 236.0f);
   const Real two = Real(2.0f);
 
@@ -164,19 +198,11 @@ common::GridF run_hotspot_batched(const HotspotParams& p,
   }
 
   const std::size_t rows = p.rows, cols = p.cols;
-  const double grid_h = p.chip_height / static_cast<double>(rows);
-  const double grid_w = p.chip_width / static_cast<double>(cols);
-  const double cap = p.factor_chip * p.spec_heat * p.t_chip * grid_h * grid_w;
-  const double rx = grid_w / (2.0 * p.k_si * p.t_chip * grid_h);
-  const double ry = grid_h / (2.0 * p.k_si * p.t_chip * grid_w);
-  const double rz = p.t_chip / (p.k_si * grid_h * grid_w);
-  const double max_slope = p.max_pd / (p.factor_chip * p.t_chip * p.spec_heat);
-  const double step = p.precision / max_slope;
-
-  const float sdc = static_cast<float>(step / cap);
-  const float rx_f = static_cast<float>(rx);
-  const float ry_f = static_cast<float>(ry);
-  const float rz_f = static_cast<float>(rz);
+  const RcModel m = rc_model(p);
+  const float sdc = static_cast<float>(m.step / m.cap);
+  const float rx_f = static_cast<float>(m.rx);
+  const float ry_f = static_cast<float>(m.ry);
+  const float rz_f = static_cast<float>(m.rz);
   const float amb = static_cast<float>(p.amb_temp) + 236.0f;
   const float two = 2.0f;
 

@@ -6,6 +6,7 @@
 // (rcp + mul, as nvcc emits for Fermi), which is what routes SFU work
 // through the imprecise reciprocal.
 #include <cstdint>
+#include <vector>
 
 #include "common/image.h"
 #include "gpu/simreal.h"
@@ -41,6 +42,12 @@ struct HotspotInput {
 /// Generates a floorplan-like power map (a few hot blocks on a cool
 /// background) and an ambient initial temperature field.
 HotspotInput make_hotspot_input(const HotspotParams& p, std::uint64_t seed);
+
+/// The double-precision steady-state field that make_hotspot_input relaxes
+/// `in.temp` to when p.steady_init is set, before rounding it to float.
+/// Tests pin it bit for bit: the float rounding hides last-bit changes.
+std::vector<double> relax_to_steady_state(const HotspotParams& p,
+                                          const HotspotInput& in);
 
 /// Runs `p.iterations` simulation steps with the scalar type Real (float for
 /// a plain reference, gpu::SimFloat to execute on the instrumented SIMT

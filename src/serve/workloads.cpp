@@ -116,7 +116,7 @@ std::function<sweep::EvalRecord()> make_workload_eval(
       sweep::EvalRecord rec;
       const auto in = apps::make_hotspot_input(hs, seed);
       rec.perf = apps::run_with_config(
-          precise, [&] { apps::run_hotspot<gpu::SimFloat>(hs, in); });
+          precise, [&] { apps::run_hotspot_batched(hs, in); });
       return rec;
     };
   }
@@ -134,7 +134,7 @@ std::function<sweep::EvalRecord()> make_workload_eval(
       sweep::EvalRecord rec;
       const auto in = apps::make_srad_input(sr, seed);
       rec.perf = apps::run_with_config(
-          precise, [&] { apps::run_srad<gpu::SimFloat>(sr, in.image); });
+          precise, [&] { apps::run_srad_batched(sr, in.image); });
       return rec;
     };
   }

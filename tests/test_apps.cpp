@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "apps/art.h"
 #include "apps/cp.h"
@@ -13,6 +16,7 @@
 #include "apps/runner.h"
 #include "apps/sphinx.h"
 #include "apps/srad.h"
+#include "common/rng.h"
 #include "quality/grid_metrics.h"
 #include "quality/ssim.h"
 
@@ -59,6 +63,82 @@ TEST(Hotspot, SteadyStateInitIsNearEquilibrium) {
   const auto after = run_hotspot<float>(p, in);
   // Running further from steady state must barely move the field.
   EXPECT_LT(quality::mae(in.temp, after), 0.05);
+}
+
+// The steady-state relaxation as a plain scalar loop with boundary checks:
+// the oracle the optimized relaxation must match bit for bit.
+std::vector<double> relax_scalar(const HotspotParams& p,
+                                 const HotspotInput& in) {
+  const double grid_h = p.chip_height / static_cast<double>(p.rows);
+  const double grid_w = p.chip_width / static_cast<double>(p.cols);
+  const double cap = p.factor_chip * p.spec_heat * p.t_chip * grid_h * grid_w;
+  const double rx = grid_w / (2.0 * p.k_si * p.t_chip * grid_h);
+  const double ry = grid_h / (2.0 * p.k_si * p.t_chip * grid_w);
+  const double rz = p.t_chip / (p.k_si * grid_h * grid_w);
+  const double step = 0.9 * cap / (2.0 / rx + 2.0 / ry + 1.0 / rz);
+  const double sdc = step / cap;
+  const double amb = p.amb_temp + 236.0;
+
+  std::vector<double> t(in.temp.begin(), in.temp.end());
+  std::vector<double> tn(t.size());
+  const std::size_t rows = p.rows, cols = p.cols;
+  for (int it = 0; it < 3000; ++it) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const std::size_t i = r * cols + c;
+        const double tc = t[i];
+        const double tN = r > 0 ? t[i - cols] : tc;
+        const double tS = r + 1 < rows ? t[i + cols] : tc;
+        const double tW = c > 0 ? t[i - 1] : tc;
+        const double tE = c + 1 < cols ? t[i + 1] : tc;
+        tn[i] = tc + sdc * (in.power(r, c) + (tN + tS - 2.0 * tc) / ry +
+                            (tW + tE - 2.0 * tc) / rx + (amb - tc) / rz);
+      }
+    }
+    t.swap(tn);
+  }
+  return t;
+}
+
+TEST(Hotspot, SteadyInputMatchesScalarRelaxation) {
+  // One-column rows (W and E both replicate the centre), even and odd
+  // interiors, and a tail after the paired interior cells.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {1, 7}, {7, 1}, {2, 2}, {2, 3}, {3, 17}, {33, 31}, {64, 64}};
+  for (const auto& [rows, cols] : shapes) {
+    SCOPED_TRACE(testing::Message() << rows << "x" << cols);
+    HotspotParams p;
+    p.rows = rows;
+    p.cols = cols;
+    HotspotParams cold = p;
+    cold.steady_init = false;
+    const auto in = make_hotspot_input(cold, 7);
+    const std::vector<double> steady = relax_scalar(p, in);
+    const std::vector<float> want(steady.begin(), steady.end());
+    const auto got = make_hotspot_input(p, 7);
+    ASSERT_EQ(got.temp.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.temp.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(got.power.data(), in.power.data(),
+                          in.power.size() * sizeof(float)),
+              0);
+
+    // Float rounding hides a last-bit change in the double field, and near
+    // 316 K so does the final tc + delta. A zero-mean field relaxing towards
+    // a zero ambient keeps such changes (say, a reordered sum) visible.
+    HotspotParams q = p;
+    q.amb_temp = -236.0;
+    HotspotInput rough = in;
+    common::Xoshiro256 rng(3);
+    for (auto& v : rough.temp) v = 100.0f * (rng.uniformf() - 0.5f);
+    const std::vector<double> field = relax_to_steady_state(q, rough);
+    const std::vector<double> oracle = relax_scalar(q, rough);
+    ASSERT_EQ(field.size(), oracle.size());
+    EXPECT_EQ(std::memcmp(field.data(), oracle.data(),
+                          oracle.size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(Hotspot, AllImpreciseKeepsQualityNegligible) {
