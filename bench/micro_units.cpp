@@ -362,16 +362,20 @@ void span_isa_row(benchmark::State& state, const IhwConfig& cfg, bool add,
                           static_cast<std::int64_t>(kSpan));
 }
 
-void span_rcp_isa_row(benchmark::State& state, simd::IsaLevel level) {
+/// One SFU span row: `op` (gpu::batch_rcp / batch_rsqrt) with only its unit
+/// enabled by `enable`.
+void span_sfu_isa_row(benchmark::State& state, bool IhwConfig::*enable,
+                      void (*op)(const float*, float*, std::size_t),
+                      simd::IsaLevel level) {
   simd::ScopedIsa forced(level);
   IhwConfig cfg;
-  cfg.rcp_enabled = true;
+  cfg.*enable = true;
   const auto a = inputs(kSpan, 15);
   std::vector<float> out(kSpan);
   gpu::FpContext ctx(cfg);
   gpu::ScopedContext scope(ctx);
   for (auto _ : state) {
-    gpu::batch_rcp(a.data(), out.data(), kSpan);
+    op(a.data(), out.data(), kSpan);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -393,12 +397,19 @@ void register_isa_rows() {
         ("BM_SpanMulBatch/acfp_log" + suffix).c_str(), span_isa_row,
         IhwConfig::mul_only(MulMode::MitchellLog, 0), false, level);
     benchmark::RegisterBenchmark(
+        ("BM_SpanMulBatch/acfp_full" + suffix).c_str(), span_isa_row,
+        IhwConfig::mul_only(MulMode::MitchellFull, 0), false, level);
+    benchmark::RegisterBenchmark(
         ("BM_SpanMulBatch/trunc" + suffix).c_str(), span_isa_row,
         IhwConfig::mul_only(MulMode::BitTruncated, 12), false, level);
     benchmark::RegisterBenchmark(("BM_SpanAddBatch/ifp" + suffix).c_str(),
                                  span_isa_row, add_only_config(), true, level);
     benchmark::RegisterBenchmark(("BM_SpanRcpBatch/sfu" + suffix).c_str(),
-                                 span_rcp_isa_row, level);
+                                 span_sfu_isa_row, &IhwConfig::rcp_enabled,
+                                 &gpu::batch_rcp<float>, level);
+    benchmark::RegisterBenchmark(("BM_SpanRsqrtBatch/sfu" + suffix).c_str(),
+                                 span_sfu_isa_row, &IhwConfig::rsqrt_enabled,
+                                 &gpu::batch_rsqrt<float>, level);
   }
 }
 

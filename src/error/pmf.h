@@ -11,9 +11,11 @@ namespace ihw::error {
 class ErrorPmf {
  public:
   /// Buckets span [min_bucket, max_bucket]; errors below/above clamp to the
-  /// end buckets. The defaults cover 2^-24 % .. 2^8 % which brackets every
-  /// unit in the paper.
-  explicit ErrorPmf(int min_bucket = -24, int max_bucket = 8);
+  /// end buckets. The default covers 2^-24 % .. 2^8 % which brackets every
+  /// unit in the paper; it is not explicit, so an aggregate holding a PMF
+  /// (sweep::EvalRecord) can be value-initialized with `{}`.
+  explicit ErrorPmf(int min_bucket, int max_bucket);
+  ErrorPmf() : ErrorPmf(-24, 8) {}
 
   /// Full accumulator state (see ErrorStats::State): lets the sweep
   /// evaluation cache persist and restore a PMF bit-exactly.

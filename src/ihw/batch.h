@@ -15,14 +15,14 @@
 // parameter over random bit patterns plus the IEEE special values to enforce
 // this. The scalar units remain the reference implementations.
 //
-// What is vectorized: the float and double ifp_add / ifp_mul / Mitchell-log
-// acfp_mul lanes are pure integer select chains (the one scalar-ish step is
-// std::bit_width in the adder normalizer); float trunc_mul widens to 64-bit
-// products which GCC vectorizes with vpmuludq. The Mitchell *full* path and
-// the SFU linear approximations keep their scalar evaluation (the full path
-// runs a 128-bit fixed-point datapath, the SFUs are short double-precision
-// polynomials behind out-of-line calls); their span kernels still amortize
-// dispatch and counter overhead.
+// What is vectorized: every multiplier lane (ifp_mul, both Mitchell paths,
+// trunc_mul) and the ifp_add lane are pure integer select chains (the
+// scalar-ish steps are std::bit_width leading-one searches); float
+// trunc_mul widens to 64-bit products which GCC vectorizes with vpmuludq.
+// The Mitchell *full* path needs no 128-bit datapath: its cross term is
+// exact on FB-1 fraction bits (acfp_full_lane). The SFU and division spans
+// call the scalar unit per element; float ircp, irsqrt and isqrt also have
+// SIMD kernels (below).
 //
 // Runtime ISA dispatch (DESIGN.md §15): each float span wrapper first
 // consults the active simd::KernelTable; a non-null entry is a hand-
@@ -177,31 +177,62 @@ inline fp::BitsOf<T> mul_specials(fp::BitsOf<T> ab, fp::BitsOf<T> bb,
   return r;
 }
 
-/// One lane of the Table 1 imprecise multiplier (ifp_mul): the mantissa
-/// product collapses to a fraction add.
+/// Multiplier tail shared by the four datapaths: sign | biased | frac with
+/// underflow (biased <= 0) flushed to the signed zero and overflow
+/// saturated to the signed infinity, then the special-value select chain.
 template <typename T>
-inline fp::BitsOf<T> ifp_mul_lane(fp::BitsOf<T> ab, fp::BitsOf<T> bb) {
+inline fp::BitsOf<T> mul_result(fp::BitsOf<T> ab, fp::BitsOf<T> bb,
+                                int biased, fp::BitsOf<T> frac) {
   using Tr = fp::FloatTraits<T>;
   using B = fp::BitsOf<T>;
   constexpr int FB = Tr::frac_bits;
-
-  const B ea = (ab >> FB) & Tr::exp_mask;
-  const B eb = (bb >> FB) & Tr::exp_mask;
-  const B fa = ea == 0 ? B{0} : (ab & Tr::frac_mask);
-  const B fb = eb == 0 ? B{0} : (bb & Tr::frac_mask);
   const B sign = (ab ^ bb) & Tr::sign_mask;
-
-  const B s = fa + fb;
-  const bool cin = s >= Tr::hidden_bit;
-  const B frac = cin ? (s - Tr::hidden_bit) >> 1 : s;
-  const int biased = static_cast<int>(ea) + static_cast<int>(eb) - Tr::bias +
-                     static_cast<int>(cin);
   B core = sign | ((static_cast<B>(biased) & Tr::exp_mask) << FB) | frac;
   core = biased <= 0 ? sign : core;
   core = biased >= static_cast<int>(Tr::exp_mask)
              ? (sign | (Tr::exp_mask << FB))
              : core;
   return mul_specials<T>(ab, bb, core);
+}
+
+/// Exponent fields of a and b, and the (flushed) fractions masked by keep.
+template <typename T>
+struct MulFields {
+  int ea, eb;
+  fp::BitsOf<T> fa, fb;
+};
+
+template <typename T>
+inline MulFields<T> mul_fields(fp::BitsOf<T> ab, fp::BitsOf<T> bb,
+                               fp::BitsOf<T> keep_mask) {
+  using Tr = fp::FloatTraits<T>;
+  using B = fp::BitsOf<T>;
+  constexpr int FB = Tr::frac_bits;
+  const B ea = (ab >> FB) & Tr::exp_mask;
+  const B eb = (bb >> FB) & Tr::exp_mask;
+  return {static_cast<int>(ea), static_cast<int>(eb),
+          (ea == 0 ? B{0} : (ab & Tr::frac_mask)) & keep_mask,
+          (eb == 0 ? B{0} : (bb & Tr::frac_mask)) & keep_mask};
+}
+
+/// Tail of ifp_mul and the Mitchell full path: the significand sum
+/// 2^FB + s normalizes by one right shift when it reaches 2^(FB+1).
+template <typename T>
+inline fp::BitsOf<T> carry_mul_result(fp::BitsOf<T> ab, fp::BitsOf<T> bb,
+                                      const MulFields<T>& m, fp::BitsOf<T> s) {
+  using Tr = fp::FloatTraits<T>;
+  const bool cin = s >= Tr::hidden_bit;
+  const fp::BitsOf<T> frac = cin ? (s - Tr::hidden_bit) >> 1 : s;
+  return mul_result<T>(ab, bb, m.ea + m.eb - Tr::bias + static_cast<int>(cin),
+                       frac);
+}
+
+/// One lane of the Table 1 imprecise multiplier (ifp_mul): the mantissa
+/// product collapses to a fraction add.
+template <typename T>
+inline fp::BitsOf<T> ifp_mul_lane(fp::BitsOf<T> ab, fp::BitsOf<T> bb) {
+  const auto m = mul_fields<T>(ab, bb, ~fp::BitsOf<T>{0});
+  return carry_mul_result<T>(ab, bb, m, m.fa + m.fb);
 }
 
 /// One lane of the Mitchell log-path ACFP multiplier: like ifp_mul but with
@@ -211,26 +242,43 @@ template <typename T>
 inline fp::BitsOf<T> acfp_log_lane(fp::BitsOf<T> ab, fp::BitsOf<T> bb,
                                    fp::BitsOf<T> keep_mask) {
   using Tr = fp::FloatTraits<T>;
-  using B = fp::BitsOf<T>;
-  constexpr int FB = Tr::frac_bits;
-
-  const B ea = (ab >> FB) & Tr::exp_mask;
-  const B eb = (bb >> FB) & Tr::exp_mask;
-  const B fa = (ea == 0 ? B{0} : (ab & Tr::frac_mask)) & keep_mask;
-  const B fb = (eb == 0 ? B{0} : (bb & Tr::frac_mask)) & keep_mask;
-  const B sign = (ab ^ bb) & Tr::sign_mask;
-
-  const B s = fa + fb;
+  const auto m = mul_fields<T>(ab, bb, keep_mask);
+  const fp::BitsOf<T> s = m.fa + m.fb;
   const bool cin = s >= Tr::hidden_bit;
-  const B frac = cin ? s - Tr::hidden_bit : s;
-  const int biased = static_cast<int>(ea) + static_cast<int>(eb) - Tr::bias +
-                     static_cast<int>(cin);
-  B core = sign | ((static_cast<B>(biased) & Tr::exp_mask) << FB) | frac;
-  core = biased <= 0 ? sign : core;
-  core = biased >= static_cast<int>(Tr::exp_mask)
-             ? (sign | (Tr::exp_mask << FB))
-             : core;
-  return mul_specials<T>(ab, bb, core);
+  return mul_result<T>(ab, bb, m.ea + m.eb - Tr::bias + static_cast<int>(cin),
+                       cin ? s - Tr::hidden_bit : s);
+}
+
+/// One lane of the Mitchell full-path ACFP multiplier (acfp_mul with
+/// AcfpPath::Full): S = 2^FB + Ma + Mb + (MA(Ma, Mb) >> FB) on the
+/// keep-masked fractions, normalized like ifp_mul.
+///
+/// arith::mitchell_mul runs MA on 60 fraction bits in 128-bit integers; its
+/// low bits are zero here. A fraction m < 2^FB has its leading one at
+/// k <= FB-1, so x = (m - 2^k) << (60 - k) has no set bit below
+/// 60 - k >= 61 - FB and equals x' << (61 - FB) with
+/// x' = (m - 2^k) << (FB - 1 - k), an (FB-1)-bit fraction. Carrying that
+/// scale through the antilog and the >> FB alignment, the cross term is
+/// exactly (2^(FB-1) + f') >> (2FB - 1 - k), where f' = (x1' + x2') mod
+/// 2^(FB-1) and k = k1 + k2 + carry (bit FB-1 of x1' + x2'). The shift is
+/// at most 2FB - 1; clamping it to FB (which already yields 0) keeps it
+/// inside the word. Zero fractions have no leading one, so their cross
+/// term is selected to 0.
+template <typename T>
+inline fp::BitsOf<T> acfp_full_lane(fp::BitsOf<T> ab, fp::BitsOf<T> bb,
+                                    fp::BitsOf<T> keep_mask) {
+  using B = fp::BitsOf<T>;
+  constexpr int FB = fp::FloatTraits<T>::frac_bits;
+  constexpr B kHalf = B{1} << (FB - 1);
+  const auto m = mul_fields<T>(ab, bb, keep_mask);
+  const int k1 = std::bit_width(m.fa | B{1}) - 1;
+  const int k2 = std::bit_width(m.fb | B{1}) - 1;
+  const B x = ((m.fa ^ (B{1} << k1)) << (FB - 1 - k1)) +
+              ((m.fb ^ (B{1} << k2)) << (FB - 1 - k2));
+  const int k = k1 + k2 + static_cast<int>(x >> (FB - 1));
+  B cross = (kHalf | (x & (kHalf - 1))) >> std::min(2 * FB - 1 - k, FB);
+  cross = (m.fa == 0) | (m.fb == 0) ? B{0} : cross;
+  return carry_mul_result<T>(ab, bb, m, m.fa + m.fb + cross);
 }
 
 /// One lane of the bit-truncation baseline multiplier: exact widened
@@ -243,26 +291,14 @@ inline fp::BitsOf<T> trunc_mul_lane(fp::BitsOf<T> ab, fp::BitsOf<T> bb,
   using Wide = std::conditional_t<sizeof(T) == 4, std::uint64_t,
                                   unsigned __int128>;
   constexpr int FB = Tr::frac_bits;
-
-  const B ea = (ab >> FB) & Tr::exp_mask;
-  const B eb = (bb >> FB) & Tr::exp_mask;
-  const B fa = ea == 0 ? B{0} : (ab & Tr::frac_mask);
-  const B fb = eb == 0 ? B{0} : (bb & Tr::frac_mask);
-  const B sign = (ab ^ bb) & Tr::sign_mask;
-
-  const Wide p = static_cast<Wide>(Tr::hidden_bit | fa) *
-                 static_cast<Wide>(Tr::hidden_bit | fb);
+  const auto m = mul_fields<T>(ab, bb, ~B{0});
+  const Wide p = static_cast<Wide>(Tr::hidden_bit | m.fa) *
+                 static_cast<Wide>(Tr::hidden_bit | m.fb);
   const bool cin = p >= (static_cast<Wide>(1) << (2 * FB + 1));
   const B frac =
       (static_cast<B>(p >> (cin ? FB + 1 : FB)) & Tr::frac_mask) & keep_mask;
-  const int biased = static_cast<int>(ea) + static_cast<int>(eb) - Tr::bias +
-                     static_cast<int>(cin);
-  B core = sign | ((static_cast<B>(biased) & Tr::exp_mask) << FB) | frac;
-  core = biased <= 0 ? sign : core;
-  core = biased >= static_cast<int>(Tr::exp_mask)
-             ? (sign | (Tr::exp_mask << FB))
-             : core;
-  return mul_specials<T>(ab, bb, core);
+  return mul_result<T>(ab, bb, m.ea + m.eb - Tr::bias + static_cast<int>(cin),
+                       frac);
 }
 
 /// Accumulation stage of the fused multiply-accumulate kernels: one product
@@ -281,6 +317,17 @@ inline fp::BitsOf<T> acc_lane(fp::BitsOf<T> pb, fp::BitsOf<T> cb, int th,
   const T s = fp::from_bits<T>(pb) + fp::from_bits<T>(cb);
   if (s != s) return qnan_bits<T>();
   return fp::to_bits(s) & acc_keep;
+}
+
+/// Fraction keep-mask of the truncating multipliers: clears the low `trunc`
+/// fraction bits, `trunc` clamped to [0, frac_bits] as the scalar units
+/// clamp it.
+template <typename T>
+inline fp::BitsOf<T> frac_keep(int trunc) {
+  using Tr = fp::FloatTraits<T>;
+  using B = fp::BitsOf<T>;
+  trunc = std::clamp(trunc, 0, Tr::frac_bits);
+  return trunc == Tr::frac_bits ? B{0} : (~B{0} << trunc) & Tr::frac_mask;
 }
 
 }  // namespace detail
@@ -343,21 +390,21 @@ void ifp_mul_n(const T* a, const T* b, T* out, std::size_t n) {
 template <typename T>
 void acfp_mul_n(const T* a, const T* b, T* out, std::size_t n, AcfpPath path,
                 int trunc) {
-  using Tr = fp::FloatTraits<T>;
-  using B = fp::BitsOf<T>;
-  if (path == AcfpPath::Full) {
-    // The full path's Ma*Mb cross term runs the 128-bit Mitchell datapath;
-    // kept scalar (see header comment).
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = acfp_mul(a[i], b[i], AcfpPath::Full, trunc);
-    return;
-  }
-  if (trunc < 0) trunc = 0;
-  if (trunc > Tr::frac_bits) trunc = Tr::frac_bits;
-  const B keep = trunc == Tr::frac_bits ? B{0}
-                                        : (~B{0} << trunc) & Tr::frac_mask;
+  const fp::BitsOf<T> keep = detail::frac_keep<T>(trunc);
+  const bool full = path == AcfpPath::Full;
   if constexpr (std::is_same_v<T, float>) {
-    if (auto* k = simd::kernels().acfp_log_f32) return k(a, b, out, n, keep);
+    const simd::KernelTable& t = simd::kernels();
+    if (auto* k = full ? t.acfp_full_f32 : t.acfp_log_f32)
+      return k(a, b, out, n, keep);
+  }
+  // One loop per path: a path select inside the loop would keep the log
+  // lane from vectorizing.
+  if (full) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = fp::from_bits<T>(detail::acfp_full_lane<T>(
+          fp::to_bits(a[i]), fp::to_bits(b[i]), keep));
+    }
+    return;
   }
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = fp::from_bits<T>(
@@ -368,12 +415,7 @@ void acfp_mul_n(const T* a, const T* b, T* out, std::size_t n, AcfpPath path,
 /// out[i] = trunc_mul(a[i], b[i], trunc).
 template <typename T>
 void trunc_mul_n(const T* a, const T* b, T* out, std::size_t n, int trunc) {
-  using Tr = fp::FloatTraits<T>;
-  using B = fp::BitsOf<T>;
-  if (trunc < 0) trunc = 0;
-  if (trunc > Tr::frac_bits) trunc = Tr::frac_bits;
-  const B keep = trunc == Tr::frac_bits ? B{0}
-                                        : (~B{0} << trunc) & Tr::frac_mask;
+  const fp::BitsOf<T> keep = detail::frac_keep<T>(trunc);
   if constexpr (std::is_same_v<T, float>) {
     if (auto* k = simd::kernels().trunc_mul_f32) return k(a, b, out, n, keep);
   }
@@ -413,26 +455,21 @@ void ifp_mac_n(const T* a, const T* b, const T* c, T* out, std::size_t n,
 template <typename T>
 void acfp_mac_n(const T* a, const T* b, const T* c, T* out, std::size_t n,
                 AcfpPath path, int trunc, int th, int acc_trunc = 0) {
-  using Tr = fp::FloatTraits<T>;
-  using B = fp::BitsOf<T>;
-  const B acc_keep = mac_clamp<T>(&th, &acc_trunc);
-  if (path == AcfpPath::Full) {
-    // Full path stays scalar (128-bit Mitchell datapath, see header comment);
-    // only the accumulate stage is fused.
+  const fp::BitsOf<T> acc_keep = mac_clamp<T>(&th, &acc_trunc);
+  const fp::BitsOf<T> keep = detail::frac_keep<T>(trunc);
+  const bool full = path == AcfpPath::Full;
+  if constexpr (std::is_same_v<T, float>) {
+    const simd::KernelTable& t = simd::kernels();
+    if (auto* k = full ? t.acfp_full_mac_f32 : t.acfp_log_mac_f32)
+      return k(a, b, c, out, n, keep, th, acc_keep);
+  }
+  if (full) {
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = fp::from_bits<T>(detail::acc_lane<T>(
-          fp::to_bits(acfp_mul(a[i], b[i], AcfpPath::Full, trunc)),
+          detail::acfp_full_lane<T>(fp::to_bits(a[i]), fp::to_bits(b[i]), keep),
           fp::to_bits(c[i]), th, acc_keep));
     }
     return;
-  }
-  if (trunc < 0) trunc = 0;
-  if (trunc > Tr::frac_bits) trunc = Tr::frac_bits;
-  const B keep = trunc == Tr::frac_bits ? B{0}
-                                        : (~B{0} << trunc) & Tr::frac_mask;
-  if constexpr (std::is_same_v<T, float>) {
-    if (auto* k = simd::kernels().acfp_log_mac_f32)
-      return k(a, b, c, out, n, keep, th, acc_keep);
   }
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = fp::from_bits<T>(detail::acc_lane<T>(
@@ -445,13 +482,8 @@ void acfp_mac_n(const T* a, const T* b, const T* c, T* out, std::size_t n,
 template <typename T>
 void trunc_mac_n(const T* a, const T* b, const T* c, T* out, std::size_t n,
                  int trunc, int th, int acc_trunc = 0) {
-  using Tr = fp::FloatTraits<T>;
-  using B = fp::BitsOf<T>;
-  const B acc_keep = mac_clamp<T>(&th, &acc_trunc);
-  if (trunc < 0) trunc = 0;
-  if (trunc > Tr::frac_bits) trunc = Tr::frac_bits;
-  const B keep = trunc == Tr::frac_bits ? B{0}
-                                        : (~B{0} << trunc) & Tr::frac_mask;
+  const fp::BitsOf<T> acc_keep = mac_clamp<T>(&th, &acc_trunc);
+  const fp::BitsOf<T> keep = detail::frac_keep<T>(trunc);
   if constexpr (std::is_same_v<T, float>) {
     if (auto* k = simd::kernels().trunc_mac_f32)
       return k(a, b, c, out, n, keep, th, acc_keep);
@@ -463,7 +495,7 @@ void trunc_mac_n(const T* a, const T* b, const T* c, T* out, std::size_t n,
   }
 }
 
-// --- SFU / division spans (scalar evaluation, hoisted dispatch) ------------
+// --- SFU / division spans (scalar unit per element, hoisted dispatch) -------
 
 template <typename T>
 void ifp_div_n(const T* a, const T* b, T* out, std::size_t n) {
@@ -480,11 +512,17 @@ void ircp_n(const T* x, T* out, std::size_t n) {
 
 template <typename T>
 void irsqrt_n(const T* x, T* out, std::size_t n) {
+  if constexpr (std::is_same_v<T, float>) {
+    if (auto* k = simd::kernels().irsqrt_f32) return k(x, out, n);
+  }
   for (std::size_t i = 0; i < n; ++i) out[i] = irsqrt(x[i]);
 }
 
 template <typename T>
 void isqrt_n(const T* x, T* out, std::size_t n) {
+  if constexpr (std::is_same_v<T, float>) {
+    if (auto* k = simd::kernels().isqrt_f32) return k(x, out, n);
+  }
   for (std::size_t i = 0; i < n; ++i) out[i] = isqrt(x[i]);
 }
 

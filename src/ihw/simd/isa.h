@@ -49,14 +49,19 @@ enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// reference loop (that is the entire scalar table, and the double-precision
 /// lanes of every table today -- the hot app spans are float).
 ///
+/// The kernels cover every float multiplier datapath (ifp_mul, the Mitchell
+/// log and full paths of acfp_mul, trunc_mul), the TH-adder, each multiplier
+/// fused with the accumulate stage, and the SFU linear segments ircp, irsqrt
+/// and isqrt. ifp_div, ilog2 and iexp2 have no slot yet.
+///
 /// Signatures mirror the batch.h span wrappers with the per-span parameter
 /// resolution already done by the caller: `th` arrives pre-clamped to
 /// [1, frac_bits+4], `flip` is the sign mask to XOR into b (ifp_sub), and
-/// `keep` is the fraction keep-mask of the truncating multipliers. The
-/// *_mac_f32 entries are the fused multiply-accumulate kernels: `th` is 0
-/// (precise accumulate, result masked by the full-word `acc_keep`) or
-/// pre-clamped to [1, frac_bits+4] (TH-adder accumulate), exactly the
-/// batch::mac_clamp normalization.
+/// `keep` is the fraction keep-mask of the truncating multipliers
+/// (batch::detail::frac_keep). The *_mac_f32 entries are the fused
+/// multiply-accumulate kernels: `th` is 0 (precise accumulate, result masked
+/// by the full-word `acc_keep`) or pre-clamped to [1, frac_bits+4] (TH-adder
+/// accumulate), exactly the batch::mac_clamp normalization.
 struct KernelTable {
   const char* name = "scalar";
   void (*ifp_add_f32)(const float* a, const float* b, float* out,
@@ -77,6 +82,13 @@ struct KernelTable {
   void (*trunc_mac_f32)(const float* a, const float* b, const float* c,
                         float* out, std::size_t n, std::uint32_t keep,
                         int th, std::uint32_t acc_keep) = nullptr;
+  void (*acfp_full_f32)(const float* a, const float* b, float* out,
+                        std::size_t n, std::uint32_t keep) = nullptr;
+  void (*acfp_full_mac_f32)(const float* a, const float* b, const float* c,
+                            float* out, std::size_t n, std::uint32_t keep,
+                            int th, std::uint32_t acc_keep) = nullptr;
+  void (*irsqrt_f32)(const float* x, float* out, std::size_t n) = nullptr;
+  void (*isqrt_f32)(const float* x, float* out, std::size_t n) = nullptr;
 };
 
 /// Canonical lowercase name ("scalar", "avx2", "avx512").

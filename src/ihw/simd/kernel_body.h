@@ -12,7 +12,7 @@
 //
 //   load store set1 and_ or_ xor_ add sub srli slli srlv sllv min max
 //   eq gt mand mor mandnot sel zero_if add_carry ps_bits mul48 add_ps
-//   ircp_dp, and kLanes (lanes per V)
+//   seg_dp, and kLanes (lanes per V)
 //
 // Only a shim's translation unit includes this header, after <immintrin.h>
 // and with its own -m flags. Everything here sits in an anonymous namespace,
@@ -41,6 +41,9 @@ constexpr std::uint32_t kHidden = 0x800000u;
 constexpr std::uint32_t kInfBits = 0x7F800000u;
 constexpr std::uint32_t kQnanBits = 0x7FC00000u;
 constexpr int kBias = 127;
+// Table 1 segment coefficients of the SFUs (ihw/sfu.cpp).
+constexpr double kRcpA = 2.823, kRcpB = 1.882;
+constexpr double kRsqA = 2.08, kRsqB = 1.1911;
 
 template <class T>
 struct Kernels {
@@ -109,15 +112,21 @@ struct Kernels {
                         clamp_exp(compose(sign, biased, frac), biased, sign));
   }
 
-  // --- ifp_mul, acfp_mul (Mitchell log path), trunc_mul ---------------------
-
-  static V ifp_mul(V ab, V bb) {
-    const Fields A = fields(ab), B = fields(bb);
+  /// Tail of ifp_mul and the Mitchell full path (detail::carry_mul_result):
+  /// the significand sum 2^FB + s normalizes by one right shift when it
+  /// reaches 2^(FB+1).
+  static V carry_result(V ab, V bb, const Fields& A, const Fields& B, V s) {
     const V sign = T::and_(T::xor_(ab, bb), T::set1(kSignMask));
-    const V s = T::add(flushed(A), flushed(B));
     const M cin = T::gt(s, T::set1(kHidden - 1));
     const V frac = T::sel(s, T::srli(T::sub(s, T::set1(kHidden)), 1), cin);
     return mul_result(sign, A, B, T::add_carry(exp_sum(A, B), cin), frac);
+  }
+
+  // --- ifp_mul, acfp_mul (Mitchell log and full paths), trunc_mul -----------
+
+  static V ifp_mul(V ab, V bb) {
+    const Fields A = fields(ab), B = fields(bb);
+    return carry_result(ab, bb, A, B, T::add(flushed(A), flushed(B)));
   }
 
   static V acfp_log(V ab, V bb, V keep) {
@@ -128,6 +137,36 @@ struct Kernels {
     // No normalization shift: the 2^x ~ 1+x antilog reinterprets the overflow.
     const V frac = T::sel(s, T::sub(s, T::set1(kHidden)), cin);
     return mul_result(sign, A, B, T::add_carry(exp_sum(A, B), cin), frac);
+  }
+
+  /// Mitchell's MA cross term of two keep-masked fractions, already aligned
+  /// by >> FB: (2^(FB-1) + f') >> (2FB - 1 - k) on FB-1 fraction bits (the
+  /// exactness argument is at detail::acfp_full_lane in batch.h). Each
+  /// leading one is read off an exact int->float convert, whose exponent
+  /// field is kBias + k for a nonzero fraction. A zero fraction converts to
+  /// exponent field 0, which pushes both of its shift counts past 31, and
+  /// variable shifts past 31 yield 0: the lane's zero select and shift clamp
+  /// are built into the instructions.
+  static V mitchell_cross(V fa, V fb) {
+    const V la = T::srli(T::ps_bits(fa), FB), lb = T::srli(T::ps_bits(fb), FB);
+    // x' = (m - 2^k) << (FB-1-k): the leading one moves to bit FB-1 and is
+    // masked off.
+    const V up = T::set1(FB - 1 + kBias);
+    const V low = T::set1(kHidden / 2 - 1);
+    const V x = T::add(T::and_(T::sllv(fa, T::sub(up, la)), low),
+                       T::and_(T::sllv(fb, T::sub(up, lb)), low));
+    // 2FB - 1 - k with k = la + lb - 2 kBias + carry (bit FB-1 of x).
+    const V cnt = T::sub(
+        T::sub(T::set1(2 * FB - 1 + 2 * kBias), T::add(la, lb)),
+        T::srli(x, FB - 1));
+    return T::srlv(T::or_(T::and_(x, low), T::set1(kHidden / 2)), cnt);
+  }
+
+  static V acfp_full(V ab, V bb, V keep) {
+    const Fields A = fields(ab), B = fields(bb);
+    const V fa = T::and_(flushed(A), keep), fb = T::and_(flushed(B), keep);
+    return carry_result(ab, bb, A, B,
+                        T::add(T::add(fa, fb), mitchell_cross(fa, fb)));
   }
 
   static V trunc_mul(V ab, V bb, V keep) {
@@ -230,13 +269,20 @@ struct Kernels {
           a, b, c);
   }
 
-  // --- ircp (the SFU span path) ---------------------------------------------
+  // --- SFU linear segments: ircp, irsqrt, isqrt -----------------------------
+  // T::seg_dp replays the scalar units' double steps per lane: xr = (1 +
+  // frac/2^23) * 2^xexp, then A - B*xr (times xr once more for isqrt), then
+  // the exact power-of-two scale 2^yexp, then the round to float.
 
   static V ircp(V xb) {
     const Fields X = fields(xb);
     const V sign = T::and_(xb, T::set1(kSignMask));
-    // (float)(sign ? -y : y) == sign-bit OR for the positive converted value.
-    V r = T::or_(T::ircp_dp(X.frac, X.e), sign);
+    // x = 2^(e+1) * xr with xr = m/2; y = approx * 2^-(e+1) = approx *
+    // 2^(126 - biased). (float)(sign ? -y : y) == sign-bit OR for the
+    // positive converted value.
+    V r = T::or_(T::seg_dp(X.frac, T::set1(-1), T::sub(T::set1(kBias - 1), X.e),
+                           kRcpA, kRcpB, false),
+                 sign);
     // flush_subnormal on the result (sign preserved).
     const V re = T::and_(T::srli(r, FB), T::set1(kExpMask));
     r = T::sel(r, sign, T::eq(re, T::set1(0)));
@@ -245,6 +291,31 @@ struct Kernels {
     r = T::sel(r, T::or_(sign, T::set1(kInfBits)), X.is_zero);
     r = T::sel(r, sign, X.is_inf);
     return T::sel(r, T::set1(kQnanBits), X.is_nan);
+  }
+
+  /// irsqrt (kSqrt false) and isqrt (kSqrt true) on the shared segment
+  /// 2.08 - 1.1911 xr. x = 4^k * xr with xr = m/4 for an even unbiased
+  /// exponent e (an odd biased field) and m/2 for an odd one, and k =
+  /// floor(e/2) + 1 = ((biased + 1) >> 1) - 63. irsqrt scales by 2^-k,
+  /// isqrt multiplies by xr once more and scales by 2^k. For every normal
+  /// input both results are normal floats (|k| <= 64, segment in
+  /// [0.44, 1.79]), so the scalar units' result flush never fires.
+  template <bool kSqrt>
+  static V rsqrt_seg(V xb) {
+    const Fields X = fields(xb);
+    const V zero = T::set1(0), inf = T::set1(kInfBits);
+    const V k = T::sub(T::srli(T::add(X.e, T::set1(1)), 1), T::set1(63));
+    const V xexp = T::sub(T::set1(-1), T::and_(X.e, T::set1(1)));
+    V r = T::seg_dp(X.frac, xexp, kSqrt ? k : T::sub(zero, k), kRsqA, kRsqB,
+                    kSqrt);
+    // Specials in scalar precedence order: zero (incl. flushed subnormals,
+    // either sign) -> +inf / +0, +inf -> +0 / +inf, NaN or x < 0 -> qNaN.
+    // x < 0 is every negative pattern but -0: flipping the sign bit leaves
+    // exactly those positive as signed integers.
+    r = T::sel(r, kSqrt ? zero : inf, X.is_zero);
+    r = T::sel(r, kSqrt ? inf : zero, X.is_inf);
+    const M neg = T::gt(T::xor_(xb, T::set1(kSignMask)), zero);
+    return T::sel(r, T::set1(kQnanBits), T::mor(X.is_nan, neg));
   }
 
   // --- span driver and table entries ----------------------------------------
@@ -296,6 +367,20 @@ struct Kernels {
     drive(out, n, [](V v) { return ircp(v); }, x);
   }
 
+  static void irsqrt_f32(const float* x, float* out, std::size_t n) {
+    drive(out, n, [](V v) { return rsqrt_seg<false>(v); }, x);
+  }
+
+  static void isqrt_f32(const float* x, float* out, std::size_t n) {
+    drive(out, n, [](V v) { return rsqrt_seg<true>(v); }, x);
+  }
+
+  static void acfp_full_f32(const float* a, const float* b, float* out,
+                            std::size_t n, std::uint32_t keep) {
+    const V k = T::set1(keep);
+    drive(out, n, [&](V x, V y) { return acfp_full(x, y, k); }, a, b);
+  }
+
   static void ifp_mac_f32(const float* a, const float* b, const float* c,
                           float* out, std::size_t n, int th,
                           std::uint32_t acc_keep) {
@@ -318,11 +403,29 @@ struct Kernels {
         [&](V x, V y) { return trunc_mul(x, y, k); });
   }
 
+  static void acfp_full_mac_f32(const float* a, const float* b, const float* c,
+                                float* out, std::size_t n, std::uint32_t keep,
+                                int th, std::uint32_t acc_keep) {
+    const V k = T::set1(keep);
+    mac(a, b, c, out, n, th, acc_keep,
+        [&](V x, V y) { return acfp_full(x, y, k); });
+  }
+
   /// The backend's KernelTable: one slot per entry point above.
   static constexpr KernelTable table(const char* name) {
-    return {name,         &ifp_add_f32, &ifp_mul_f32,
-            &acfp_log_f32, &trunc_mul_f32, &ircp_f32,
-            &ifp_mac_f32, &acfp_log_mac_f32, &trunc_mac_f32};
+    return {.name = name,
+            .ifp_add_f32 = &ifp_add_f32,
+            .ifp_mul_f32 = &ifp_mul_f32,
+            .acfp_log_f32 = &acfp_log_f32,
+            .trunc_mul_f32 = &trunc_mul_f32,
+            .ircp_f32 = &ircp_f32,
+            .ifp_mac_f32 = &ifp_mac_f32,
+            .acfp_log_mac_f32 = &acfp_log_mac_f32,
+            .trunc_mac_f32 = &trunc_mac_f32,
+            .acfp_full_f32 = &acfp_full_f32,
+            .acfp_full_mac_f32 = &acfp_full_mac_f32,
+            .irsqrt_f32 = &irsqrt_f32,
+            .isqrt_f32 = &isqrt_f32};
   }
 };
 

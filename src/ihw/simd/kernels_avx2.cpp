@@ -90,37 +90,43 @@ struct Avx2 {
     return _mm256_castps_si256(s);
   }
 
-  /// The reciprocal SFU's double datapath, as two 4-lane halves: returns the
-  /// bits of (float)ldexp(2.823 - 1.882 * (1 + frac/2^23) / 2, 126 - biased).
-  IHW_SHIM V ircp_dp(V frac, V biased) {
-    const __m128 lo = ircp_half(_mm256_castsi256_si128(frac),
-                                _mm256_castsi256_si128(biased));
-    const __m128 hi = ircp_half(_mm256_extracti128_si256(frac, 1),
-                                _mm256_extracti128_si256(biased, 1));
+  /// The SFUs' double segment (Kernels<T>::ircp, rsqrt_seg) as two 4-lane
+  /// halves: the bits of (float)(approx * 2^yexp), where xr = (1 +
+  /// frac/2^23) * 2^xexp and approx = a - b * xr, times xr once more when
+  /// `times_xr`.
+  IHW_SHIM V seg_dp(V frac, V xexp, V yexp, double a, double b,
+                    bool times_xr) {
+    const __m128 lo = seg_half(
+        _mm256_castsi256_si128(frac), _mm256_castsi256_si128(xexp),
+        _mm256_castsi256_si128(yexp), a, b, times_xr);
+    const __m128 hi = seg_half(
+        _mm256_extracti128_si256(frac, 1), _mm256_extracti128_si256(xexp, 1),
+        _mm256_extracti128_si256(yexp, 1), a, b, times_xr);
     return _mm256_castps_si256(_mm256_set_m128(hi, lo));
   }
 
-  /// The identical mul/add/sub sequence of the scalar ircp per 64-bit lane
-  /// (every intermediate is exact except the one rounded multiply and
-  /// subtract the scalar also performs, and -ffp-contract=off forbids fusing
-  /// them), then scaling by an exactly constructed power of two stands in
-  /// for ldexp.
-  IHW_SHIM __m128 ircp_half(__m128i frac4, __m128i biased4) {
-    const __m256d fracd = _mm256_cvtepi32_pd(frac4);
-    const __m256d xr = _mm256_mul_pd(
+  /// The scalar units' mul/add/sub sequence per 64-bit lane, in their order:
+  /// every step is exact except the rounded multiplies and the subtract the
+  /// scalar also performs, which -ffp-contract=off keeps unfused. Scaling by
+  /// an exactly constructed power of two stands in for ldexp and for the
+  /// scalar's * 0.25 / * 0.5: the scales and products stay normal doubles
+  /// for every float exponent field (|exponent| <= 129).
+  IHW_SHIM __m128 seg_half(__m128i frac4, __m128i xexp4, __m128i yexp4,
+                           double a, double b, bool times_xr) {
+    const auto pow2 = [](__m128i e4) {
+      const __m256i e = _mm256_add_epi64(_mm256_cvtepi32_epi64(e4),
+                                         _mm256_set1_epi64x(1023));
+      return _mm256_castsi256_pd(_mm256_slli_epi64(e, 52));
+    };
+    const __m256d m =
         _mm256_add_pd(_mm256_set1_pd(1.0),
-                      _mm256_mul_pd(fracd, _mm256_set1_pd(0x1p-23))),
-        _mm256_set1_pd(0.5));
-    const __m256d approx = _mm256_sub_pd(
-        _mm256_set1_pd(2.823), _mm256_mul_pd(_mm256_set1_pd(1.882), xr));
-    // ldexp(approx, -(e+1)) with e = biased - 127: multiply by
-    // 2^(126-biased), exact because the scale and the product stay normal
-    // doubles for every float exponent field (biased in [0, 255] -> scale
-    // exponent in [-129, 126]).
-    __m256i k = _mm256_cvtepi32_epi64(biased4);
-    k = _mm256_sub_epi64(_mm256_set1_epi64x(126 + 1023), k);
-    const __m256d scale = _mm256_castsi256_pd(_mm256_slli_epi64(k, 52));
-    return _mm256_cvtpd_ps(_mm256_mul_pd(approx, scale));
+                      _mm256_mul_pd(_mm256_cvtepi32_pd(frac4),
+                                    _mm256_set1_pd(0x1p-23)));
+    const __m256d xr = _mm256_mul_pd(m, pow2(xexp4));
+    __m256d approx = _mm256_sub_pd(_mm256_set1_pd(a),
+                                   _mm256_mul_pd(_mm256_set1_pd(b), xr));
+    if (times_xr) approx = _mm256_mul_pd(xr, approx);
+    return _mm256_cvtpd_ps(_mm256_mul_pd(approx, pow2(yexp4)));
   }
 };
 

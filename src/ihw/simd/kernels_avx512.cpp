@@ -93,37 +93,45 @@ struct Avx512 {
     return _mm512_castps_si512(s);
   }
 
-  /// The reciprocal SFU's double datapath, as two 8-lane halves: returns the
-  /// bits of (float)ldexp(2.823 - 1.882 * (1 + frac/2^23) / 2, 126 - biased).
-  IHW_SHIM V ircp_dp(V frac, V biased) {
-    const __m256 lo = ircp_half(_mm512_castsi512_si256(frac),
-                                _mm512_castsi512_si256(biased));
-    const __m256 hi = ircp_half(_mm512_extracti64x4_epi64(frac, 1),
-                                _mm512_extracti64x4_epi64(biased, 1));
+  /// The SFUs' double segment (Kernels<T>::ircp, rsqrt_seg) as two 8-lane
+  /// halves: the bits of (float)(approx * 2^yexp), where xr = (1 +
+  /// frac/2^23) * 2^xexp and approx = a - b * xr, times xr once more when
+  /// `times_xr`.
+  IHW_SHIM V seg_dp(V frac, V xexp, V yexp, double a, double b,
+                    bool times_xr) {
+    const __m256 lo = seg_half(
+        _mm512_castsi512_si256(frac), _mm512_castsi512_si256(xexp),
+        _mm512_castsi512_si256(yexp), a, b, times_xr);
+    const __m256 hi = seg_half(_mm512_extracti64x4_epi64(frac, 1),
+                               _mm512_extracti64x4_epi64(xexp, 1),
+                               _mm512_extracti64x4_epi64(yexp, 1), a, b,
+                               times_xr);
     return _mm512_castps_si512(
         _mm512_insertf32x8(_mm512_castps256_ps512(lo), hi, 1));
   }
 
-  /// The identical mul/add/sub sequence of the scalar ircp per 64-bit lane
-  /// (the one rounded multiply and subtract stay separate ops under
-  /// -ffp-contract=off), then scaling by an exactly constructed power of two
-  /// stands in for ldexp.
-  IHW_SHIM __m256 ircp_half(__m256i frac8, __m256i biased8) {
-    const __m512d fracd = _mm512_cvtepi32_pd(frac8);
-    const __m512d xr = _mm512_mul_pd(
+  /// The scalar units' mul/add/sub sequence per 64-bit lane, in their order
+  /// (the rounded multiplies and subtract stay separate ops under
+  /// -ffp-contract=off). Scaling by an exactly constructed power of two
+  /// stands in for ldexp and for the scalar's * 0.25 / * 0.5: the scales and
+  /// products stay normal doubles for every float exponent field
+  /// (|exponent| <= 129).
+  IHW_SHIM __m256 seg_half(__m256i frac8, __m256i xexp8, __m256i yexp8,
+                           double a, double b, bool times_xr) {
+    const auto pow2 = [](__m256i e8) {
+      const __m512i e = _mm512_add_epi64(_mm512_cvtepi32_epi64(e8),
+                                         _mm512_set1_epi64(1023));
+      return _mm512_castsi512_pd(_mm512_slli_epi64(e, 52));
+    };
+    const __m512d m =
         _mm512_add_pd(_mm512_set1_pd(1.0),
-                      _mm512_mul_pd(fracd, _mm512_set1_pd(0x1p-23))),
-        _mm512_set1_pd(0.5));
-    const __m512d approx = _mm512_sub_pd(
-        _mm512_set1_pd(2.823), _mm512_mul_pd(_mm512_set1_pd(1.882), xr));
-    // ldexp(approx, -(e+1)) with e = biased - 127: multiply by
-    // 2^(126-biased), exact because scale and product stay normal doubles
-    // for every float exponent field (biased in [0, 255] -> scale exponent
-    // in [-129, 126]).
-    __m512i k = _mm512_cvtepi32_epi64(biased8);
-    k = _mm512_sub_epi64(_mm512_set1_epi64(126 + 1023), k);
-    const __m512d scale = _mm512_castsi512_pd(_mm512_slli_epi64(k, 52));
-    return _mm512_cvtpd_ps(_mm512_mul_pd(approx, scale));
+                      _mm512_mul_pd(_mm512_cvtepi32_pd(frac8),
+                                    _mm512_set1_pd(0x1p-23)));
+    const __m512d xr = _mm512_mul_pd(m, pow2(xexp8));
+    __m512d approx = _mm512_sub_pd(_mm512_set1_pd(a),
+                                   _mm512_mul_pd(_mm512_set1_pd(b), xr));
+    if (times_xr) approx = _mm512_mul_pd(xr, approx);
+    return _mm512_cvtpd_ps(_mm512_mul_pd(approx, pow2(yexp8)));
   }
 };
 

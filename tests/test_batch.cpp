@@ -153,6 +153,48 @@ void run_mul_sweep() {
 TEST(BatchUnits, MulModesFloat) { run_mul_sweep<float>(); }
 TEST(BatchUnits, MulModesDouble) { run_mul_sweep<double>(); }
 
+/// The Mitchell full path against the scalar unit on fractions picked by
+/// leading-one position: every (k1, k2) pair, each with a single-bit,
+/// all-ones and random tail, plus zero. Random bit patterns almost never
+/// have a short fraction, so this is what reaches the cross term's long
+/// shifts and its zero-fraction rule.
+template <typename T>
+void run_full_path_leading_ones() {
+  using Tr = fp::FloatTraits<T>;
+  using B = fp::BitsOf<T>;
+  constexpr int FB = Tr::frac_bits;
+  std::mt19937_64 rng(9);
+  std::vector<B> fracs = {0};
+  for (int k = 0; k < FB; ++k) {
+    const B one = B{1} << k;
+    fracs.push_back(one);
+    fracs.push_back(one | (one - 1));
+    fracs.push_back(one | (static_cast<B>(rng()) & (one - 1)));
+  }
+  std::vector<T> a, b;
+  for (B fa : fracs) {
+    for (B fb : fracs) {
+      a.push_back(fp::from_bits<T>((static_cast<B>(Tr::bias) << FB) | fa));
+      b.push_back(fp::from_bits<T>((static_cast<B>(Tr::bias - 5) << FB) | fb));
+    }
+  }
+  const std::size_t n = a.size();
+  std::vector<T> out(n), ref(n);
+  for (int tr : {0, 3, FB / 2}) {
+    batch::acfp_mul_n(a.data(), b.data(), out.data(), n, AcfpPath::Full, tr);
+    for (std::size_t i = 0; i < n; ++i)
+      ref[i] = acfp_mul(a[i], b[i], AcfpPath::Full, tr);
+    expect_span_matches("acfp_mul_n(full)", out, ref);
+  }
+}
+
+TEST(BatchUnits, FullPathLeadingOnesFloat) {
+  run_full_path_leading_ones<float>();
+}
+TEST(BatchUnits, FullPathLeadingOnesDouble) {
+  run_full_path_leading_ones<double>();
+}
+
 template <typename T>
 void run_sfu_sweep() {
   const auto a = operands<T>(kN, 5), b = operands<T>(kN, 6);

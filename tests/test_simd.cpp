@@ -2,11 +2,13 @@
 // dispatcher's detection/force/clamp semantics, exhaustive 16-bit-pattern
 // cross-checks and randomized fuzz pinning every hand-vectorized kernel to
 // the scalar reference loop (including NaN/Inf/signed-zero/subnormal
-// operands and remainder-tail lanes), fault-injection op-index parity
-// through GuardedDispatch::*_n per backend, and end-to-end app byte-identity
-// across ISA levels and thread counts. Each non-scalar case skips cleanly on
-// hosts that cannot execute its ISA, and the CTest suite re-runs this binary
-// (and test_batch) under IHW_FORCE_ISA for every level.
+// operands and remainder-tail lanes), the irsqrt/isqrt kernels against the
+// scalar units over every fraction of ten exponent fields, fault-injection
+// op-index parity through GuardedDispatch::*_n per backend, and end-to-end
+// app byte-identity across ISA levels and thread counts. Each non-scalar
+// case skips cleanly on hosts that cannot execute its ISA, and the CTest
+// suite re-runs this binary (and test_batch) under IHW_FORCE_ISA for every
+// level.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -97,11 +99,16 @@ void cross_check_units(IsaLevel level, const std::vector<float>& a,
     check("acfp_mul_n(log)", [&](float* out) {
       batch::acfp_mul_n(a.data(), b.data(), out, n, AcfpPath::Log, trunc);
     });
+    check("acfp_mul_n(full)", [&](float* out) {
+      batch::acfp_mul_n(a.data(), b.data(), out, n, AcfpPath::Full, trunc);
+    });
     check("trunc_mul_n", [&](float* out) {
       batch::trunc_mul_n(a.data(), b.data(), out, n, trunc);
     });
   }
   check("ircp_n", [&](float* out) { batch::ircp_n(a.data(), out, n); });
+  check("irsqrt_n", [&](float* out) { batch::irsqrt_n(a.data(), out, n); });
+  check("isqrt_n", [&](float* out) { batch::isqrt_n(a.data(), out, n); });
 
   // Fused multiply-accumulate: the addend is b reversed, so every a*b class
   // meets a different c class. Each kernel runs once into a separate span
@@ -121,6 +128,10 @@ void cross_check_units(IsaLevel level, const std::vector<float>& a,
       });
       check_mac("acfp_mac_n(log)", [&](const float* cc, float* out) {
         batch::acfp_mac_n(a.data(), b.data(), cc, out, n, AcfpPath::Log, 8,
+                          th, acc_trunc);
+      });
+      check_mac("acfp_mac_n(full)", [&](const float* cc, float* out) {
+        batch::acfp_mac_n(a.data(), b.data(), cc, out, n, AcfpPath::Full, 8,
                           th, acc_trunc);
       });
       check_mac("trunc_mac_n", [&](const float* cc, float* out) {
@@ -189,6 +200,13 @@ TEST(SimdDispatch, ActiveTableMatchesLevelAndScalarIsAllNull) {
   EXPECT_EQ(t.acfp_log_f32, nullptr);
   EXPECT_EQ(t.trunc_mul_f32, nullptr);
   EXPECT_EQ(t.ircp_f32, nullptr);
+  EXPECT_EQ(t.ifp_mac_f32, nullptr);
+  EXPECT_EQ(t.acfp_log_mac_f32, nullptr);
+  EXPECT_EQ(t.trunc_mac_f32, nullptr);
+  EXPECT_EQ(t.acfp_full_f32, nullptr);
+  EXPECT_EQ(t.acfp_full_mac_f32, nullptr);
+  EXPECT_EQ(t.irsqrt_f32, nullptr);
+  EXPECT_EQ(t.isqrt_f32, nullptr);
 }
 
 TEST(SimdDispatch, ForceClampsToSupportedAndRestores) {
@@ -278,6 +296,54 @@ void run_fuzz(IsaLevel level) {
 
 TEST(SimdFuzz, Avx2) { run_fuzz(IsaLevel::kAvx2); }
 TEST(SimdFuzz, Avx512) { run_fuzz(IsaLevel::kAvx512); }
+
+// --- the rsqrt segment over every fraction ----------------------------------
+
+/// irsqrt_n and isqrt_n under `level` against the scalar units (not the
+/// reference loop) for every fraction of the exponent fields at the ends and
+/// the middle of the range -- zero/subnormal, the smallest normals, around
+/// 1.0, the largest normals, inf/NaN -- with both signs, in 2^20-element
+/// spans.
+void run_rsqrt_every_fraction(IsaLevel level) {
+  if (!simd::isa_supported(level))
+    GTEST_SKIP() << simd::isa_name(level) << " not supported on this host";
+  ScopedIsa forced(level);
+  constexpr std::uint32_t kSpan = 1u << 20;
+  std::vector<float> x(kSpan), got(kSpan);
+  const auto expect_unit = [&](const char* what, float (*unit)(float)) {
+    for (std::uint32_t i = 0; i < kSpan; ++i) {
+      const float want = unit(x[i]);
+      if (!same_bits(got[i], want)) {
+        ADD_FAILURE() << what << " [" << simd::isa_name(level)
+                      << "] diverges at bits " << fp::to_bits(x[i])
+                      << ": got " << fp::to_bits(got[i])
+                      << " want " << fp::to_bits(want);
+        return false;
+      }
+    }
+    return true;
+  };
+  for (std::uint32_t sign : {0u, 0x80000000u}) {
+    for (std::uint32_t e : {0u, 1u, 2u, 125u, 126u, 127u, 128u, 253u, 254u,
+                            255u}) {
+      for (std::uint32_t base = 0; base < (1u << 23); base += kSpan) {
+        for (std::uint32_t i = 0; i < kSpan; ++i)
+          x[i] = fp::from_bits<float>(sign | (e << 23) | (base + i));
+        batch::irsqrt_n(x.data(), got.data(), kSpan);
+        if (!expect_unit("irsqrt_n", &irsqrt<float>)) return;
+        batch::isqrt_n(x.data(), got.data(), kSpan);
+        if (!expect_unit("isqrt_n", &isqrt<float>)) return;
+      }
+    }
+  }
+}
+
+TEST(SimdRsqrtEveryFraction, Avx2) {
+  run_rsqrt_every_fraction(IsaLevel::kAvx2);
+}
+TEST(SimdRsqrtEveryFraction, Avx512) {
+  run_rsqrt_every_fraction(IsaLevel::kAvx512);
+}
 
 // --- fault-injection op-index parity through GuardedDispatch -----------------
 

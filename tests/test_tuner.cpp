@@ -175,8 +175,9 @@ TEST(TunerSpeculative, MatchesSequentialWithFaultModel) {
     expect_results_identical(seq, spec);
     // The fault descriptors ride along through every history step.
     for (const auto& step : seq.history) {
-      if (step.config.any_enabled())
+      if (step.config.any_enabled()) {
         EXPECT_TRUE(step.config.faults == faults);
+      }
     }
   }
 }

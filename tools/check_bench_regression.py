@@ -19,9 +19,10 @@ under its floor has regressed grossly (>3x from its measured-at-merge
 margin), whatever the host.
 
 Pairs whose batch side intentionally runs element-wise (the screened
-`guarded` configuration, the scalar-datapath `acfp_full` mode) only gate
-against the batch entry point becoming grossly *slower* than the scalar
-loop it wraps.
+`guarded` configuration) only gate against the batch entry point becoming
+grossly *slower* than the scalar loop it wraps. `acfp_full` keeps that
+loose floor from when its span ran element-wise; it has a lane and SIMD
+kernels now (DESIGN.md §15).
 
 --sweep mode gates the memoizing sweep engine (DESIGN.md §11) instead:
 COLD.json and WARM.json are the --json outputs of the same sweep bench run
