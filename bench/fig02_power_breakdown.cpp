@@ -49,11 +49,11 @@ int main(int argc, char** argv) {
     SradParams p;
     p.rows = p.cols = static_cast<std::size_t>(128 * scale);
     p.iterations = 25;
-    const auto in = make_srad_input(p, 11);
+    const auto image = make_srad_image(p, 11);
     BenchRun r{"srad", {}, {}};
     r.params.dram_fraction = 0.30;
     r.counters = run_with_config(IhwConfig::precise(),
-                                 [&] { run_srad_batched(p, in.image); });
+                                 [&] { run_srad_batched(p, image); });
     runs.push_back(r);
   }
   {  // RayTracing: compute bound, divergent control flow.

@@ -24,19 +24,18 @@ int main(int argc, char** argv) {
 
   // --input=image.pgm despeckles a user-supplied image instead of the
   // synthetic phantom (no ideal edge map -> FOM rows are skipped).
-  auto input = make_srad_input(p, 11);
-  bool user_image = false;
-  if (args.has("input")) {
-    const auto img = common::read_pgm(args.get("input", ""));
-    if (img.size() == 0) {
+  const bool user_image = args.has("input");
+  SradInput input;
+  if (user_image) {
+    input.image = common::read_pgm(args.get("input", ""));
+    if (input.image.size() == 0) {
       std::fprintf(stderr, "could not read %s\n", args.get("input", "").c_str());
       return 1;
     }
-    p.rows = img.rows();
-    p.cols = img.cols();
-    input.image = img;
-    input.ideal_edges = quality::EdgeMap(p.rows, p.cols, 0);
-    user_image = true;
+    p.rows = input.image.rows();
+    p.cols = input.image.cols();
+  } else {
+    input = make_srad_input(p, 11);
   }
   common::GridF ref, imp;
   gpu::PerfCounters counters;

@@ -118,9 +118,9 @@ int main(int argc, char** argv) try {
                       }});
     points.push_back({workloads[1].fingerprint(&precise), [&] {
                         sweep::EvalRecord rec;
-                        const auto in = make_srad_input(sr, 11);
+                        const auto image = make_srad_image(sr, 11);
                         rec.perf = run_with_config(precise, [&] {
-                          run_srad_batched(sr, in.image);
+                          run_srad_batched(sr, image);
                         });
                         return rec;
                       }});

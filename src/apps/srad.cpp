@@ -1,8 +1,10 @@
 #include "apps/srad.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.h"
@@ -26,19 +28,18 @@ struct Ellipse {
   }
 };
 
+// The phantom's two dark cysts.
+std::array<Ellipse, 2> cysts_of(const SradParams& p) {
+  return {{{p.rows * 0.42, p.cols * 0.38, p.rows * 0.16, p.cols * 0.13},
+           {p.rows * 0.68, p.cols * 0.70, p.rows * 0.10, p.cols * 0.15}}};
+}
+
 }  // namespace
 
-SradInput make_srad_input(const SradParams& p, std::uint64_t seed) {
+common::GridF make_srad_image(const SradParams& p, std::uint64_t seed) {
   common::Xoshiro256 rng(seed);
-  SradInput in;
-  in.image = common::GridF(p.rows, p.cols, 0.0f);
-  in.ideal_edges = quality::EdgeMap(p.rows, p.cols, 0);
-
-  const Ellipse cysts[2] = {
-      {p.rows * 0.42, p.cols * 0.38, p.rows * 0.16, p.cols * 0.13},
-      {p.rows * 0.68, p.cols * 0.70, p.rows * 0.10, p.cols * 0.15},
-  };
-
+  common::GridF image(p.rows, p.cols, 0.0f);
+  const auto cysts = cysts_of(p);
   for (std::size_t r = 0; r < p.rows; ++r) {
     for (std::size_t c = 0; c < p.cols; ++c) {
       double base = 150.0;
@@ -49,9 +50,17 @@ SradInput make_srad_input(const SradParams& p, std::uint64_t seed) {
       // heavy-tailed look of log-compressed ultrasound.
       const double n = (rng.uniform() + rng.uniform() - 1.0) * 0.55;
       const double v = base * (1.0 + n);
-      in.image(r, c) = static_cast<float>(std::fmin(255.0, std::fmax(1.0, v)));
+      image(r, c) = static_cast<float>(std::fmin(255.0, std::fmax(1.0, v)));
     }
   }
+  return image;
+}
+
+SradInput make_srad_input(const SradParams& p, std::uint64_t seed) {
+  SradInput in;
+  in.image = make_srad_image(p, seed);
+  quality::EdgeMap ideal(p.rows, p.cols, 0);
+  const auto cysts = cysts_of(p);
   // Ideal segmentation: pixels where the cyst indicator crosses 1.
   for (std::size_t r = 1; r + 1 < p.rows; ++r)
     for (std::size_t c = 1; c + 1 < p.cols; ++c)
@@ -62,8 +71,9 @@ SradInput make_srad_input(const SradParams& p, std::uint64_t seed) {
             e.indicator(static_cast<double>(r + 1), static_cast<double>(c)) >= 1.0 ||
             e.indicator(static_cast<double>(r), static_cast<double>(c - 1)) >= 1.0 ||
             e.indicator(static_cast<double>(r), static_cast<double>(c + 1)) >= 1.0;
-        if (inside && any_out) in.ideal_edges(r, c) = 1;
+        if (inside && any_out) ideal(r, c) = 1;
       }
+  in.ideal_edges = quality::PrattReference(std::move(ideal));
   return in;
 }
 
@@ -284,7 +294,7 @@ common::GridF run_srad_batched(const SradParams& p, const common::GridF& image) 
 }
 
 double srad_pratt_fom(const common::GridF& despeckled,
-                      const quality::EdgeMap& ideal_edges) {
+                      const quality::PrattReference& ideal_edges) {
   const auto edges = quality::sobel_edges(despeckled, 0.22);
   return quality::pratt_fom(ideal_edges, edges);
 }

@@ -23,8 +23,10 @@ struct SradParams {
 };
 
 struct SradInput {
-  common::GridF image;          // speckled intensity image (0..255)
-  quality::EdgeMap ideal_edges; // ground-truth segmentation boundary
+  common::GridF image;  // speckled intensity image (0..255)
+  // Ground-truth segmentation boundary, with its distance transform built
+  // once here for every srad_pratt_fom call that scores against it.
+  quality::PrattReference ideal_edges;
 };
 
 /// Synthesizes an ultrasound-like phantom: dark elliptical cysts on a
@@ -32,13 +34,18 @@ struct SradInput {
 /// ideal edge map traces the true cyst boundaries.
 SradInput make_srad_input(const SradParams& p, std::uint64_t seed);
 
+/// make_srad_input(p, seed).image alone, for callers that never score: it
+/// skips the ideal map and its distance transform.
+common::GridF make_srad_image(const SradParams& p, std::uint64_t seed);
+
 /// Runs SRAD diffusion; returns the despeckled image.
 template <typename Real>
 common::GridF run_srad(const SradParams& p, const common::GridF& image);
 
-/// Full quality pipeline: diffuse, edge-detect, score against ideal.
+/// Quality of a despeckled image: its Sobel edge map scored with Pratt's FOM
+/// against the input's prebuilt reference.
 double srad_pratt_fom(const common::GridF& despeckled,
-                      const quality::EdgeMap& ideal_edges);
+                      const quality::PrattReference& ideal_edges);
 
 /// Batched SoA port of run_srad: both kernels sweep row spans through the
 /// gpu/batch.h fast path. Bit-identical outputs and PerfCounters to

@@ -132,9 +132,9 @@ std::function<sweep::EvalRecord()> make_workload_eval(
     const std::uint64_t seed = w.seed;
     return [sr, seed, precise] {
       sweep::EvalRecord rec;
-      const auto in = apps::make_srad_input(sr, seed);
+      const auto image = apps::make_srad_image(sr, seed);
       rec.perf = apps::run_with_config(
-          precise, [&] { apps::run_srad_batched(sr, in.image); });
+          precise, [&] { apps::run_srad_batched(sr, image); });
       return rec;
     };
   }

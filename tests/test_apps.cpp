@@ -17,6 +17,7 @@
 #include "apps/sphinx.h"
 #include "apps/srad.h"
 #include "common/rng.h"
+#include "pratt_reference.h"
 #include "quality/grid_metrics.h"
 #include "quality/ssim.h"
 
@@ -211,6 +212,47 @@ TEST(Srad, ImpreciseTracksPreciseFom) {
   const double f_ref = srad_pratt_fom(ref, in.ideal_edges);
   const double f_imp = srad_pratt_fom(imp, in.ideal_edges);
   EXPECT_GT(f_imp, f_ref * 0.7);  // paper: 0.20 vs 0.23 (comparable)
+}
+
+TEST(Srad, PrattFomAgainstPrebuiltReferenceMatchesEdtPerCall) {
+  // The 256x256 phantom of fig16, despeckled precisely, with every IHW unit
+  // and with the Mitchell full-path multiplier: srad_pratt_fom against the
+  // input's prebuilt reference scores each output exactly as the scalar
+  // pipeline does (scalar Sobel, distance transform built per call).
+  SradParams p;
+  p.iterations = 20;
+  const auto in = make_srad_input(p, 11);
+  for (const auto& cfg :
+       {IhwConfig::precise(), IhwConfig::all_imprecise(),
+        IhwConfig::mul_only(MulMode::MitchellFull, 0)}) {
+    gpu::FpContext ctx(cfg);
+    gpu::ScopedContext scope(ctx);
+    const auto out = run_srad_batched(p, in.image);
+    const double got = srad_pratt_fom(out, in.ideal_edges);
+    const double want = quality::reference::pratt_fom(
+        in.ideal_edges.ideal(), quality::reference::sobel_edges(out, 0.22));
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << cfg.describe() << ": " << got << " vs " << want;
+  }
+}
+
+TEST(Srad, ImageBuilderMatchesInputImage) {
+  // Callers that never score build the phantom alone; it must be the same
+  // image make_srad_input returns, at square and non-square sizes.
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{96, 96},
+                                   {37, 80}}) {
+    SradParams p;
+    p.rows = rows;
+    p.cols = cols;
+    const auto image = make_srad_image(p, 13);
+    const auto in = make_srad_input(p, 13);
+    ASSERT_EQ(image.rows(), in.image.rows());
+    ASSERT_EQ(image.cols(), in.image.cols());
+    EXPECT_EQ(std::memcmp(image.data(), in.image.data(),
+                          image.size() * sizeof(float)),
+              0)
+        << rows << "x" << cols;
+  }
 }
 
 TEST(Srad, DiffusionCoefficientStaysInUnitRange) {

@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
+#include "pratt_reference.h"
 
 namespace ihw::quality {
 namespace {
@@ -42,6 +48,49 @@ TEST(GridMetrics, PsnrInfiniteForIdenticalAndFiniteOtherwise) {
   const double p = psnr(a, b, 255.0);
   EXPECT_GT(p, 40.0);
   EXPECT_TRUE(std::isfinite(p));
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t u;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+/// A rows x cols grid of values in [-100, 100) with NaN, +inf and -inf
+/// scattered in at roughly `special` of the pixels each.
+common::GridF noisy_grid(std::size_t rows, std::size_t cols, double special,
+                         std::uint64_t seed) {
+  common::Xoshiro256 rng(seed);
+  common::GridF g(rows, cols);
+  const float specials[3] = {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()};
+  for (auto& v : g) {
+    v = static_cast<float>(rng.uniform(-100.0, 100.0));
+    for (float x : specials)
+      if (rng.uniform() < special) v = x;
+  }
+  return g;
+}
+
+TEST(GridMetrics, WedMatchesSerialMaxWithNonFinitePixels) {
+  const auto serial = [](const common::GridF& a, const common::GridF& b) {
+    double worst = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      worst = std::max(
+          worst, std::fabs(static_cast<double>(a.data()[i]) - b.data()[i]));
+    return worst;
+  };
+  std::uint64_t seed = 5;
+  for (std::size_t cols : {1, 3, 4, 5, 7, 8, 9, 33, 256})
+    for (double special : {0.0, 0.01, 0.2, 0.6}) {
+      const auto a = noisy_grid(3, cols, special, seed++);
+      const auto b = noisy_grid(3, cols, special, seed++);
+      EXPECT_EQ(bits(wed(a, b)), bits(serial(a, b)))
+          << cols << " cols, special " << special;
+    }
+  const common::GridF empty;
+  EXPECT_EQ(bits(wed(empty, empty)), bits(0.0));
 }
 
 TEST(Ssim, IdenticalImagesScoreOne) {
@@ -118,19 +167,29 @@ TEST(DistanceTransform, ExactAgainstBruteForce) {
     }
 }
 
+TEST(DistanceTransform, GridWithNoRowsOrNoColumnsIsEmpty) {
+  for (const auto& mask : {EdgeMap(3, 0), EdgeMap(0, 3), EdgeMap()}) {
+    const auto dist = distance_transform(mask);
+    EXPECT_EQ(dist.rows(), mask.rows());
+    EXPECT_EQ(dist.cols(), mask.cols());
+    EXPECT_EQ(dist.size(), 0u);
+  }
+}
+
 TEST(PrattFom, PerfectDetectionScoresOne) {
   EdgeMap ideal(16, 16, 0);
   for (std::size_t c = 2; c < 14; ++c) ideal(8, c) = 1;
-  EXPECT_DOUBLE_EQ(pratt_fom(ideal, ideal), 1.0);
+  EXPECT_DOUBLE_EQ(pratt_fom(PrattReference(ideal), ideal), 1.0);
 }
 
 TEST(PrattFom, EmptyMapsEdgeCases) {
   EdgeMap empty(8, 8, 0);
   EdgeMap some(8, 8, 0);
   some(4, 4) = 1;
-  EXPECT_DOUBLE_EQ(pratt_fom(empty, empty), 1.0);
-  EXPECT_DOUBLE_EQ(pratt_fom(empty, some), 0.0);
-  EXPECT_DOUBLE_EQ(pratt_fom(some, empty), 0.0);
+  const PrattReference no_edges(empty), one_edge(some);
+  EXPECT_DOUBLE_EQ(pratt_fom(no_edges, empty), 1.0);
+  EXPECT_DOUBLE_EQ(pratt_fom(no_edges, some), 0.0);
+  EXPECT_DOUBLE_EQ(pratt_fom(one_edge, empty), 0.0);
 }
 
 TEST(PrattFom, ShiftedEdgePenalizedByDistance) {
@@ -140,8 +199,9 @@ TEST(PrattFom, ShiftedEdgePenalizedByDistance) {
     shift1(17, c) = 1;
     shift3(19, c) = 1;
   }
-  const double f1 = pratt_fom(ideal, shift1);
-  const double f3 = pratt_fom(ideal, shift3);
+  const PrattReference ref(ideal);
+  const double f1 = pratt_fom(ref, shift1);
+  const double f3 = pratt_fom(ref, shift3);
   // d=1 with alpha=1/9: each pixel contributes 1/(1+1/9) = 0.9.
   EXPECT_NEAR(f1, 0.9, 1e-9);
   EXPECT_NEAR(f3, 1.0 / 2.0, 1e-9);  // d=3 -> 1/(1+1) = 0.5
@@ -155,9 +215,34 @@ TEST(PrattFom, OverDetectionDilutesScore) {
     over(8, c) = 1;
     over(0, c) = 1;  // spurious far edge
   }
-  const double f = pratt_fom(ideal, over);
+  const double f = pratt_fom(PrattReference(ideal), over);
   EXPECT_LT(f, 0.6);
   EXPECT_GT(f, 0.4);  // the true half still counts fully
+}
+
+EdgeMap random_map(std::size_t rows, std::size_t cols, double density,
+                   common::Xoshiro256& rng) {
+  EdgeMap m(rows, cols, 0);
+  for (auto& v : m) v = rng.uniform() < density ? 1 : 0;
+  return m;
+}
+
+TEST(PrattFom, ReferenceMatchesPerPixelFormulaBitForBit) {
+  common::Xoshiro256 rng(19);
+  const double densities[] = {0.0, 0.02, 0.5, 1.0};
+  for (std::size_t cols : {1, 7, 64, 97})
+    for (double ideal_density : densities) {
+      const auto ideal = random_map(41, cols, ideal_density, rng);
+      const PrattReference ref(ideal);
+      for (double detected_density : densities) {
+        const auto detected = random_map(41, cols, detected_density, rng);
+        for (double alpha : {1.0 / 9.0, 0.37})
+          EXPECT_EQ(bits(pratt_fom(ref, detected, alpha)),
+                    bits(reference::pratt_fom(ideal, detected, alpha)))
+              << cols << " cols, densities " << ideal_density << "/"
+              << detected_density << ", alpha " << alpha;
+      }
+    }
 }
 
 TEST(SobelEdges, DetectsAStepEdge) {
@@ -180,6 +265,32 @@ TEST(SobelEdges, DetectsAStepEdge) {
 TEST(SobelEdges, FlatImageHasNoEdges) {
   const auto e = sobel_edges(constant_grid(16, 42.0f), 0.25);
   for (auto v : e) EXPECT_EQ(v, 0);
+}
+
+TEST(SobelEdges, MatchesScalarReferenceAtEveryWidth) {
+  // Besides two fixed thresholds, each finite magnitude of the reference
+  // sets one threshold at (or an ulp from) itself, so a magnitude computed
+  // one ulp off flips an edge and shows.
+  std::uint64_t seed = 300;
+  for (std::size_t cols = 3; cols <= 37; ++cols)
+    for (std::size_t rows : {3, 4, 11})
+      for (double special : {0.0, 0.002, 0.05}) {
+        const auto img = noisy_grid(rows, cols, special, seed++);
+        float max_mag;
+        const auto mag = reference::sobel_magnitude(img, max_mag);
+        std::vector<double> thresholds = {0.22, 0.6};
+        if (std::isfinite(max_mag) && max_mag > 0.0f)
+          for (float m : mag)
+            if (m > 0.0f && m < max_mag)
+              thresholds.push_back(static_cast<double>(m) / max_mag);
+        for (double th : thresholds) {
+          const auto got = sobel_edges(img, th);
+          const auto want = reference::sobel_edges(img, th);
+          ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+              << rows << "x" << cols << ", special " << special << ", th "
+              << th;
+        }
+      }
 }
 
 }  // namespace
