@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "could not read %s\n", args.get("input", "").c_str());
       return 1;
     }
+    for (float& v : input.image) v = srad_intensity(v);
     p.rows = input.image.rows();
     p.cols = input.image.cols();
   } else {

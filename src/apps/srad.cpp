@@ -36,6 +36,10 @@ std::array<Ellipse, 2> cysts_of(const SradParams& p) {
 
 }  // namespace
 
+float srad_intensity(double v) {
+  return static_cast<float>(std::fmin(255.0, std::fmax(1.0, v)));
+}
+
 common::GridF make_srad_image(const SradParams& p, std::uint64_t seed) {
   common::Xoshiro256 rng(seed);
   common::GridF image(p.rows, p.cols, 0.0f);
@@ -49,8 +53,7 @@ common::GridF make_srad_image(const SradParams& p, std::uint64_t seed) {
       // Multiplicative speckle: product of two uniforms approximates the
       // heavy-tailed look of log-compressed ultrasound.
       const double n = (rng.uniform() + rng.uniform() - 1.0) * 0.55;
-      const double v = base * (1.0 + n);
-      image(r, c) = static_cast<float>(std::fmin(255.0, std::fmax(1.0, v)));
+      image(r, c) = srad_intensity(base * (1.0 + n));
     }
   }
   return image;

@@ -23,7 +23,7 @@ struct SradParams {
 };
 
 struct SradInput {
-  common::GridF image;  // speckled intensity image (0..255)
+  common::GridF image;  // speckled intensity image (1..255)
   // Ground-truth segmentation boundary, with its distance transform built
   // once here for every srad_pratt_fom call that scores against it.
   quality::PrattReference ideal_edges;
@@ -37,6 +37,11 @@ SradInput make_srad_input(const SradParams& p, std::uint64_t seed);
 /// make_srad_input(p, seed).image alone, for callers that never score: it
 /// skips the ideal map and its distance transform.
 common::GridF make_srad_image(const SradParams& p, std::uint64_t seed);
+
+/// An intensity clamped into SRAD's working range [1, 255]. The diffusion
+/// takes the reciprocal of every pixel, so one 0 pixel would turn the whole
+/// output to NaN; every input image passes its pixels through here.
+float srad_intensity(double v);
 
 /// Runs SRAD diffusion; returns the despeckled image.
 template <typename Real>

@@ -2,8 +2,8 @@
 // Structural (stage-by-stage) datapath models of the proposed units, built
 // from explicit hardware primitives: priority encoder, barrel shifter,
 // width-masked adders, and an array multiplier with column truncation.
-// These mirror the VHDL models of Fig. 11 and are cross-verified bit-exactly
-// against the functional models in src/ihw by the test suite.
+// These mirror the VHDL models of Fig. 11 and are the oracle the test suite
+// checks the functional models in src/ihw against, bit-exactly.
 #include <cstdint>
 
 #include "ihw/acfp_mul.h"
@@ -40,13 +40,35 @@ unsigned __int128 array_multiply(std::uint64_t a, std::uint64_t b, int n_bits,
 /// power term of the mantissa multiplier in the gate-level power model.
 long long array_cell_count(int n_bits, int m_bits, int drop_columns);
 
-// --- structural unit mirrors (binary32), for cross-verification ----------
+// --- structural unit mirrors, the oracle of the functional units ----------
+// Each mirrors one unit of src/ihw stage by stage, built from the primitives
+// above and the IEEE field helpers of fpcore -- never from the lanes of
+// ihw/lanes.h it checks. Instantiated for float and double. Subnormal
+// operands flush to zero, NaN results are the canonical quiet NaN, and no
+// stage rounds.
 
-/// TH-threshold imprecise adder built strictly from the primitives above.
-float structural_ifp_add32(float a, float b, int th, bool subtract = false);
+/// TH-threshold imprecise adder (ifp_add; ifp_sub with `subtract`): a
+/// TH-bit alignment shifter, a (TH+2)-bit adder, a priority encoder and the
+/// normalization shifter. TH is clamped to [1, frac_bits+4].
+template <typename T>
+T structural_ifp_add(T a, T b, int th, bool subtract = false);
+
+/// Table 1 imprecise multiplier (ifp_mul): one frac_bits-wide fraction
+/// adder whose carry-out bumps the exponent and selects the normalization
+/// shift.
+template <typename T>
+T structural_ifp_mul(T a, T b);
 
 /// Accuracy-configurable Mitchell multiplier (Fig. 7 datapath: priority
-/// encoders + Add1/Add2/Add3 with multiplexed paths).
-float structural_acfp_mul32(float a, float b, ihw::AcfpPath path, int trunc);
+/// encoders + Add1/Add2/Add3 with multiplexed paths), `trunc` fraction LSBs
+/// masked off the inputs, `trunc` clamped to [0, frac_bits].
+template <typename T>
+T structural_acfp_mul(T a, T b, ihw::AcfpPath path, int trunc);
+
+/// Bit-truncation baseline multiplier (trunc_mul): the exact array
+/// multiplier on the two significands, normalization, then a keep mask
+/// over the result fraction, `trunc` clamped to [0, frac_bits].
+template <typename T>
+T structural_trunc_mul(T a, T b, int trunc);
 
 }  // namespace ihw::arith

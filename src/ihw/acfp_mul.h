@@ -13,68 +13,22 @@
 // On top of either path, `trunc` LSBs of the fractions entering the MA/adder
 // stage are truncated, trading accuracy for adder width (and thus power).
 // No rounding unit; subnormals flush to zero.
-#include "arith/mitchell.h"
 #include "fpcore/float_bits.h"
-
-#include <cmath>
-#include <limits>
+#include "ihw/lanes.h"
 
 namespace ihw {
 
 enum class AcfpPath { Log, Full };
 
+/// a * b through the Mitchell multiplier's `path`, `trunc` clamped to
+/// [0, frac_bits] (lanes::acfp_log_lane, lanes::acfp_full_lane).
 template <typename T>
 T acfp_mul(T a, T b, AcfpPath path, int trunc = 0) {
-  using Tr = fp::FloatTraits<T>;
-  using B = typename Tr::Bits;
-  using arith::u128;
-  constexpr int FB = Tr::frac_bits;
-
-  const bool sign = std::signbit(a) != std::signbit(b);
-  if (std::isnan(a) || std::isnan(b)) return std::numeric_limits<T>::quiet_NaN();
-  a = fp::flush_subnormal(a);
-  b = fp::flush_subnormal(b);
-  if (std::isinf(a) || std::isinf(b)) {
-    if (a == T(0) || b == T(0)) return std::numeric_limits<T>::quiet_NaN();
-    return sign ? -std::numeric_limits<T>::infinity()
-                : std::numeric_limits<T>::infinity();
-  }
-  if (a == T(0) || b == T(0)) return sign ? -T(0) : T(0);
-
-  if (trunc < 0) trunc = 0;
-  if (trunc > FB) trunc = FB;
-  const B keep_mask = trunc == FB ? B{0} : (~B{0} << trunc) & Tr::frac_mask;
-
-  const auto fa = fp::decompose(a);
-  const auto fb = fp::decompose(b);
-  int expz = fa.unbiased_exp() + fb.unbiased_exp();
-  const B ma = fa.frac & keep_mask;
-  const B mb = fb.frac & keep_mask;
-  B frac;
-
-  if (path == AcfpPath::Log) {
-    // MA on significands with the leading one pinned at bit FB: the log
-    // characteristic is constant, so only the fraction adder remains.
-    const B s = ma + mb;
-    if (s < (B{1} << FB)) {
-      frac = s;  // 2^E * (1 + Ma + Mb)
-    } else {
-      frac = s - (B{1} << FB);  // 2^(E+1) * (Ma + Mb): the 2^x~1+x segment
-      expz += 1;
-    }
-  } else {
-    // Full path: S = 1 + Ma + Mb + MA(Ma*Mb), scale 2^-FB.
-    const u128 one = static_cast<u128>(1) << FB;
-    u128 cross = arith::mitchell_mul(ma, mb);  // scale 2^-2FB
-    u128 S = one + ma + mb + (cross >> FB);    // Add1 + Add3, truncating align
-    if (S < (one << 1)) {
-      frac = static_cast<B>(S - one);
-    } else {
-      expz += 1;
-      frac = static_cast<B>((S >> 1) - one);
-    }
-  }
-  return fp::compose_flushing<T>(sign, expz, frac);
+  const fp::BitsOf<T> keep = lanes::frac_keep<T>(trunc);
+  return fp::from_bits<T>(
+      path == AcfpPath::Full
+          ? lanes::acfp_full_lane<T>(fp::to_bits(a), fp::to_bits(b), keep)
+          : lanes::acfp_log_lane<T>(fp::to_bits(a), fp::to_bits(b), keep));
 }
 
 extern template float acfp_mul<float>(float, float, AcfpPath, int);

@@ -8,90 +8,19 @@
 //
 // Error bounds (Ch. 4.1.1, effective addition, TH=8): < 0.78%.
 #include "fpcore/float_bits.h"
-
-#include <bit>
-#include <cmath>
+#include "ihw/lanes.h"
 
 namespace ihw {
 
-/// Computes a + b through the TH-threshold imprecise adder. Set `subtract`
-/// to compute a - b (the unit negates b's sign, exactly as hardware does).
+/// Computes a + b through the TH-threshold imprecise adder, TH clamped to
+/// [1, frac_bits+4] (lanes::ifp_add_lane). Set `subtract` to compute a - b
+/// (the unit negates b's sign, exactly as hardware does).
 template <typename T>
 T ifp_add(T a, T b, int th, bool subtract = false) {
-  using Tr = fp::FloatTraits<T>;
-  using B = typename Tr::Bits;
-  constexpr int FB = Tr::frac_bits;
-
-  if (subtract) b = -b;
-
-  // IEEE special values are still honoured: the imprecise unit only touches
-  // the significand datapath.
-  if (std::isnan(a) || std::isnan(b)) return std::numeric_limits<T>::quiet_NaN();
-  if (std::isinf(a) || std::isinf(b)) {
-    if (std::isinf(a) && std::isinf(b) && (std::signbit(a) != std::signbit(b)))
-      return std::numeric_limits<T>::quiet_NaN();
-    return std::isinf(a) ? a : b;
-  }
-
-  a = fp::flush_subnormal(a);
-  b = fp::flush_subnormal(b);
-  if (a == T(0) && b == T(0)) {
-    // IEEE-754 sum-of-zeros sign (round-to-nearest): -0 only when both
-    // addends are -0; +0 for mixed signs.
-    return (std::signbit(a) && std::signbit(b)) ? -T(0) : T(0);
-  }
-  if (a == T(0)) return b;
-  if (b == T(0)) return a;
-
-  auto fa = fp::decompose(a);
-  auto fb_ = fp::decompose(b);
-  // Compare-and-swap so `fa` is the larger magnitude.
-  if (fb_.biased_exp > fa.biased_exp ||
-      (fb_.biased_exp == fa.biased_exp && fb_.frac > fa.frac)) {
-    std::swap(fa, fb_);
-  }
-  const int d = fa.biased_exp - fb_.biased_exp;
-  // Clamp TH into the physically meaningful range [1, FB+4].
-  if (th < 1) th = 1;
-  if (th > FB + 4) th = FB + 4;
-
-  if (d >= th) {
-    // Smaller operand vanishes in the TH-bit shifter.
-    return fp::compose<T>(fa.sign, fa.biased_exp, fa.frac);
-  }
-
-  // Align to the larger exponent and truncate both significands to TH
-  // fraction bits: the (TH+1)-bit adder datapath.
-  const int drop_a = FB - th;          // >= -4
-  B sa, sb;
-  if (drop_a >= 0) {
-    sa = fa.significand() >> drop_a;
-    const int shift_b = drop_a + d;    // < FB + th <= 2FB
-    sb = fb_.significand() >> shift_b;
-  } else {
-    sa = fa.significand() << -drop_a;
-    const int shift_b = d + drop_a;    // may be negative
-    sb = shift_b >= 0 ? (fb_.significand() >> shift_b)
-                      : (fb_.significand() << -shift_b);
-  }
-
-  const bool effective_sub = fa.sign != fb_.sign;
-  B s = effective_sub ? (sa - sb) : (sa + sb);
-  if (s == 0) return T(0);
-
-  // Normalize: the datapath result has `th` fraction bits at exponent
-  // fa.biased_exp; find the leading one and re-pack, truncating (never
-  // rounding) any bits that do not fit the fraction field.
-  const int p = std::bit_width(s) - 1;  // leading-one position, 0..th+1
-  const int expz = fa.biased_exp - Tr::bias + (p - th);
-  B frac;
-  const B body = s ^ (B{1} << p);
-  if (p <= FB) {
-    frac = body << (FB - p);
-  } else {
-    frac = body >> (p - FB);
-  }
-  return fp::compose_flushing<T>(fa.sign, expz, frac);
+  const fp::BitsOf<T> flip =
+      subtract ? fp::FloatTraits<T>::sign_mask : fp::BitsOf<T>{0};
+  return fp::from_bits<T>(lanes::ifp_add_lane<T>(
+      fp::to_bits(a), fp::to_bits(b) ^ flip, lanes::add_th<T>(th)));
 }
 
 /// a - b through the imprecise adder.

@@ -9,41 +9,15 @@
 // (at Ma = Mb -> 1). No rounding unit; subnormals flush to zero; infinities
 // and NaNs are preserved.
 #include "fpcore/float_bits.h"
-
-#include <cmath>
-#include <limits>
+#include "ihw/lanes.h"
 
 namespace ihw {
 
+/// a * b through the imprecise multiplier (lanes::ifp_mul_lane).
 template <typename T>
 T ifp_mul(T a, T b) {
-  using Tr = fp::FloatTraits<T>;
-  using B = typename Tr::Bits;
-  constexpr int FB = Tr::frac_bits;
-
-  const bool sign = std::signbit(a) != std::signbit(b);
-  if (std::isnan(a) || std::isnan(b)) return std::numeric_limits<T>::quiet_NaN();
-  a = fp::flush_subnormal(a);
-  b = fp::flush_subnormal(b);
-  if (std::isinf(a) || std::isinf(b)) {
-    if (a == T(0) || b == T(0)) return std::numeric_limits<T>::quiet_NaN();
-    return sign ? -std::numeric_limits<T>::infinity()
-                : std::numeric_limits<T>::infinity();
-  }
-  if (a == T(0) || b == T(0)) return sign ? -T(0) : T(0);
-
-  const auto fa = fp::decompose(a);
-  const auto fb = fp::decompose(b);
-  int expz = fa.unbiased_exp() + fb.unbiased_exp();
-  const B s = fa.frac + fb.frac;  // Ma + Mb, FB+1 bits
-  B frac;
-  if (s < (B{1} << FB)) {
-    frac = s;  // 1 + Ma + Mb, already normalized
-  } else {
-    frac = (s - (B{1} << FB)) >> 1;  // (1+Ma+Mb)/2 = 1 + (Ma+Mb-1)/2
-    expz += 1;                       // cin of eq. (6)
-  }
-  return fp::compose_flushing<T>(sign, expz, frac);
+  return fp::from_bits<T>(
+      lanes::ifp_mul_lane<T>(fp::to_bits(a), fp::to_bits(b)));
 }
 
 extern template float ifp_mul<float>(float, float);

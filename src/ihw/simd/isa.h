@@ -8,7 +8,7 @@
 // the hottest kernels, and a cpuid-based detector that picks the widest
 // supported backend once per process. One default build binary therefore
 // hits peak span throughput on any x86-64 host; on other architectures
-// every table entry is null and the scalar reference loops in batch.h run.
+// every table entry is null and the lane loops in batch.h run.
 //
 // Layout: every backend kernel is written once, as a template over an ISA
 // shim, in kernel_body.h. Each ISA is one shim file -- kernels_avx2.cpp,
@@ -20,7 +20,7 @@
 // write one shim file and give it an IsaLevel.
 //
 // Bit-identity contract: a backend entry is only allowed in a table if it
-// produces exactly the bits of the scalar reference lane in batch.h for
+// produces exactly the bits of the lane in lanes.h for
 // every input, including NaN/Inf/signed-zero/subnormal operands and every
 // runtime parameter (TH, truncation mask). tests/test_simd.cpp enforces
 // this with exhaustive 16-bit-pattern cross-checks plus randomized fuzz per
@@ -58,7 +58,7 @@ enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// resolution already done by the caller: `th` arrives pre-clamped to
 /// [1, frac_bits+4], `flip` is the sign mask to XOR into b (ifp_sub), and
 /// `keep` is the fraction keep-mask of the truncating multipliers
-/// (batch::detail::frac_keep). The *_mac_f32 entries are the fused
+/// (lanes::frac_keep). The *_mac_f32 entries are the fused
 /// multiply-accumulate kernels: `th` is 0 (precise accumulate, result masked
 /// by the full-word `acc_keep`) or pre-clamped to [1, frac_bits+4] (TH-adder
 /// accumulate), exactly the batch::mac_clamp normalization.

@@ -3,12 +3,12 @@
 //
 // Kernels<T> is the whole datapath of every KernelTable entry: the same
 // flush / compare-and-swap / clamped-shift-pair / select-chain structure as
-// the scalar lanes in ihw/batch.h, evaluated per lane with selects in the
-// same precedence order, so the result is bit-identical to the scalar
-// reference by construction (and enforced input-exhaustively by
-// tests/test_simd.cpp). T is an ISA shim -- kernels_avx2.cpp,
-// kernels_avx512.cpp -- that supplies the lane vector V, the compare-result
-// type M and about 25 always-inline intrinsic wrappers:
+// the lanes in ihw/lanes.h, evaluated per lane with selects in the same
+// precedence order, so the result is bit-identical to the lanes by
+// construction (and enforced input-exhaustively by tests/test_simd.cpp).
+// T is an ISA shim -- kernels_avx2.cpp, kernels_avx512.cpp -- that supplies
+// the lane vector V, the compare-result type M and about 25 always-inline
+// intrinsic wrappers:
 //
 //   load store set1 and_ or_ xor_ add sub srli slli srlv sllv min max
 //   eq gt mand mor mandnot sel zero_if add_carry ps_bits mul48 add_ps
@@ -74,7 +74,7 @@ struct Kernels {
   static V flushed(const Fields& f) { return T::zero_if(f.is_zero, f.frac); }
 
   /// Shared special-value select chain of the three multiplier datapaths
-  /// (mirrors detail::mul_specials in batch.h).
+  /// (mirrors lanes::mul_specials in lanes.h).
   static V mul_specials(V sign, const Fields& A, const Fields& B, V core) {
     const M any_zero = T::mor(A.is_zero, B.is_zero);
     const M any_inf = T::mor(A.is_inf, B.is_inf);
@@ -112,7 +112,7 @@ struct Kernels {
                         clamp_exp(compose(sign, biased, frac), biased, sign));
   }
 
-  /// Tail of ifp_mul and the Mitchell full path (detail::carry_mul_result):
+  /// Tail of ifp_mul and the Mitchell full path (lanes::carry_mul_result):
   /// the significand sum 2^FB + s normalizes by one right shift when it
   /// reaches 2^(FB+1).
   static V carry_result(V ab, V bb, const Fields& A, const Fields& B, V s) {
@@ -141,7 +141,7 @@ struct Kernels {
 
   /// Mitchell's MA cross term of two keep-masked fractions, already aligned
   /// by >> FB: (2^(FB-1) + f') >> (2FB - 1 - k) on FB-1 fraction bits (the
-  /// exactness argument is at detail::acfp_full_lane in batch.h). Each
+  /// exactness argument is at lanes::acfp_full_lane in lanes.h). Each
   /// leading one is read off an exact int->float convert, whose exponent
   /// field is kBias + k for a nonzero fraction. A zero fraction converts to
   /// exponent field 0, which pushes both of its shift counts past 31, and
@@ -200,7 +200,8 @@ struct Kernels {
     const V sy = T::sel(sb, sa, swap);
     const V d = T::sub(ex, T::sel(B.e, A.e, swap));
 
-    // (TH+1)-bit alignment with the clamped shift pairs of the scalar lane.
+    // (TH+1)-bit alignment: a right/left shift pair with clamped counts
+    // (one side always zero).
     const int drop = FB - th;
     const V hidden = T::set1(kHidden);
     const V sh = T::add(d, T::set1(drop));

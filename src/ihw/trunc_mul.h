@@ -7,49 +7,16 @@
 // see the power model). trunc = 0 with round-to-nearest-even gives the
 // DesignWare-equivalent precise multiplier used as the reference.
 #include "fpcore/float_bits.h"
-
-#include <cmath>
-#include <limits>
+#include "ihw/lanes.h"
 
 namespace ihw {
 
+/// a * b through the bit-truncation multiplier, `trunc` clamped to
+/// [0, frac_bits] (lanes::trunc_mul_lane).
 template <typename T>
 T trunc_mul(T a, T b, int trunc) {
-  using Tr = fp::FloatTraits<T>;
-  using B = typename Tr::Bits;
-  using u128 = unsigned __int128;
-  constexpr int FB = Tr::frac_bits;
-
-  const bool sign = std::signbit(a) != std::signbit(b);
-  if (std::isnan(a) || std::isnan(b)) return std::numeric_limits<T>::quiet_NaN();
-  a = fp::flush_subnormal(a);
-  b = fp::flush_subnormal(b);
-  if (std::isinf(a) || std::isinf(b)) {
-    if (a == T(0) || b == T(0)) return std::numeric_limits<T>::quiet_NaN();
-    return sign ? -std::numeric_limits<T>::infinity()
-                : std::numeric_limits<T>::infinity();
-  }
-  if (a == T(0) || b == T(0)) return sign ? -T(0) : T(0);
-
-  if (trunc < 0) trunc = 0;
-  if (trunc > FB) trunc = FB;
-
-  const auto fa = fp::decompose(a);
-  const auto fb = fp::decompose(b);
-  int expz = fa.unbiased_exp() + fb.unbiased_exp();
-
-  const u128 p = static_cast<u128>(fa.significand()) * fb.significand();
-  // p has 2*FB fraction bits; normalize to [1,2).
-  B frac;
-  if (p >= (static_cast<u128>(1) << (2 * FB + 1))) {
-    expz += 1;
-    frac = static_cast<B>((p >> (FB + 1)) & Tr::frac_mask);
-  } else {
-    frac = static_cast<B>((p >> FB) & Tr::frac_mask);
-  }
-  const B keep_mask = trunc == FB ? B{0} : (~B{0} << trunc) & Tr::frac_mask;
-  frac &= keep_mask;
-  return fp::compose_flushing<T>(sign, expz, frac);
+  return fp::from_bits<T>(lanes::trunc_mul_lane<T>(
+      fp::to_bits(a), fp::to_bits(b), lanes::frac_keep<T>(trunc)));
 }
 
 extern template float trunc_mul<float>(float, float, int);

@@ -188,6 +188,21 @@ TEST(Srad, DiffusionReducesSpeckleVariance) {
   EXPECT_LT(variance(out), variance(in.image) * 0.8);
 }
 
+TEST(Srad, ZeroPixelsClampedToTheIntensityRangeGiveFiniteOutput) {
+  // A user image may hold 0 pixels, which SRAD's reciprocal cannot take.
+  SradParams p;
+  p.rows = p.cols = 32;
+  p.iterations = 5;
+  p.roi_r1 = p.roi_c1 = 16;
+  common::GridF image = make_srad_image(p, 7);
+  for (std::size_t c = 0; c < p.cols; c += 3) image(5, c) = 0.0f;
+  image(0, 0) = 300.0f;
+  for (float& v : image) v = srad_intensity(v);
+  EXPECT_EQ(image(5, 0), 1.0f);
+  EXPECT_EQ(image(0, 0), 255.0f);
+  for (float v : run_srad_batched(p, image)) ASSERT_TRUE(std::isfinite(v));
+}
+
 TEST(Srad, ImprovesPrattFomOverRawImage) {
   SradParams p;
   p.rows = p.cols = 128;

@@ -1,14 +1,15 @@
-// Batch <-> scalar bit-identity for the SoA fast path (DESIGN.md §10):
-// every unit kernel across its parameter space, every op-table row through
-// every layer (values + counters, unscreened and screened), the multi-op
-// guarded/faulted screen, runtime::batch_apply across thread counts, and the
-// batched app ports against their scalar SimReal references.
+// Batch bit-identity for the SoA fast path (DESIGN.md §10): every adder and
+// multiplier span across its parameter space against the structural
+// datapath models, every SFU span against its scalar unit, every op-table
+// row through every layer (values + counters, unscreened and screened), the
+// multi-op guarded/faulted screen, runtime::batch_apply across thread
+// counts, and the batched app ports against their scalar SimReal
+// references.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <cmath>
 #include <random>
 #include <type_traits>
@@ -18,6 +19,8 @@
 #include "apps/cp.h"
 #include "apps/hotspot.h"
 #include "apps/srad.h"
+#include "arith/datapath.h"
+#include "bit_patterns.h"
 #include "fault/guarded_dispatch.h"
 #include "gpu/batch.h"
 #include "gpu/context.h"
@@ -37,6 +40,7 @@ using gpu::FpContext;
 using gpu::OpClass;
 using gpu::ScopedContext;
 using gpu::SimFloat;
+using test_operands::fuzz_operands;
 
 template <typename T>
 bool same_bits(T a, T b) {
@@ -44,34 +48,6 @@ bool same_bits(T a, T b) {
   std::memcpy(&x, &a, sizeof(T));
   std::memcpy(&y, &b, sizeof(T));
   return x == y;
-}
-
-/// Random bit patterns with every IEEE special class mixed in.
-template <typename T>
-std::vector<T> operands(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<T> v(n);
-  const T specials[] = {T(0.0),
-                        T(-0.0),
-                        std::numeric_limits<T>::infinity(),
-                        -std::numeric_limits<T>::infinity(),
-                        std::numeric_limits<T>::quiet_NaN(),
-                        std::numeric_limits<T>::denorm_min(),
-                        -std::numeric_limits<T>::denorm_min(),
-                        std::numeric_limits<T>::max(),
-                        std::numeric_limits<T>::min(),
-                        T(1.0),
-                        T(-1.0),
-                        T(1.5)};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rng() % 8 == 0) {
-      v[i] = specials[rng() % (sizeof(specials) / sizeof(T))];
-    } else {
-      const auto bits = static_cast<fp::BitsOf<T>>(rng());
-      std::memcpy(&v[i], &bits, sizeof(T));
-    }
-  }
-  return v;
 }
 
 /// Positive operands in a numerically tame range (for SFU / guard paths).
@@ -112,17 +88,33 @@ void expect_span_matches(const char* what, const std::vector<T>& got,
         << want[i];
 }
 
+/// Span against the structural datapath model (arith/datapath), the
+/// independent oracle of every adder and multiplier lane.
+template <typename T, typename Oracle>
+void expect_span_matches_oracle(const char* what, const std::vector<T>& a,
+                                const std::vector<T>& b,
+                                const std::vector<T>& got, Oracle oracle) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const T want = oracle(a[i], b[i]);
+    ASSERT_TRUE(same_bits(got[i], want))
+        << what << " diverges at " << i << ": a=" << a[i] << " b=" << b[i]
+        << " got " << got[i] << " want " << want;
+  }
+}
+
 template <typename T>
 void run_adder_sweep() {
-  const auto a = operands<T>(kN, 1), b = operands<T>(kN, 2);
-  std::vector<T> out(kN), ref(kN);
+  const auto a = fuzz_operands<T>(kN, 1), b = fuzz_operands<T>(kN, 2);
+  std::vector<T> out(kN);
   for (int th : {1, 2, 4, 8, 12, 23, 27, 52, 56, 0, -3, 99}) {
     batch::ifp_add_n(a.data(), b.data(), out.data(), kN, th);
-    for (std::size_t i = 0; i < kN; ++i) ref[i] = ifp_add(a[i], b[i], th);
-    expect_span_matches("ifp_add_n", out, ref);
+    expect_span_matches_oracle("ifp_add_n", a, b, out, [&](T x, T y) {
+      return arith::structural_ifp_add(x, y, th);
+    });
     batch::ifp_sub_n(a.data(), b.data(), out.data(), kN, th);
-    for (std::size_t i = 0; i < kN; ++i) ref[i] = ifp_sub(a[i], b[i], th);
-    expect_span_matches("ifp_sub_n", out, ref);
+    expect_span_matches_oracle("ifp_sub_n", a, b, out, [&](T x, T y) {
+      return arith::structural_ifp_add(x, y, th, /*subtract=*/true);
+    });
   }
 }
 
@@ -131,30 +123,32 @@ TEST(BatchUnits, AdderThSweepDouble) { run_adder_sweep<double>(); }
 
 template <typename T>
 void run_mul_sweep() {
-  const auto a = operands<T>(kN, 3), b = operands<T>(kN, 4);
-  std::vector<T> out(kN), ref(kN);
+  const auto a = fuzz_operands<T>(kN, 3), b = fuzz_operands<T>(kN, 4);
+  std::vector<T> out(kN);
   batch::ifp_mul_n(a.data(), b.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = ifp_mul(a[i], b[i]);
-  expect_span_matches("ifp_mul_n", out, ref);
+  expect_span_matches_oracle("ifp_mul_n", a, b, out, [](T x, T y) {
+    return arith::structural_ifp_mul(x, y);
+  });
 
   for (int tr : {0, 1, 8, 12, 23, 31, 52, 60, -2}) {
     for (AcfpPath path : {AcfpPath::Log, AcfpPath::Full}) {
       batch::acfp_mul_n(a.data(), b.data(), out.data(), kN, path, tr);
-      for (std::size_t i = 0; i < kN; ++i)
-        ref[i] = acfp_mul(a[i], b[i], path, tr);
-      expect_span_matches("acfp_mul_n", out, ref);
+      expect_span_matches_oracle("acfp_mul_n", a, b, out, [&](T x, T y) {
+        return arith::structural_acfp_mul(x, y, path, tr);
+      });
     }
     batch::trunc_mul_n(a.data(), b.data(), out.data(), kN, tr);
-    for (std::size_t i = 0; i < kN; ++i) ref[i] = trunc_mul(a[i], b[i], tr);
-    expect_span_matches("trunc_mul_n", out, ref);
+    expect_span_matches_oracle("trunc_mul_n", a, b, out, [&](T x, T y) {
+      return arith::structural_trunc_mul(x, y, tr);
+    });
   }
 }
 
 TEST(BatchUnits, MulModesFloat) { run_mul_sweep<float>(); }
 TEST(BatchUnits, MulModesDouble) { run_mul_sweep<double>(); }
 
-/// The Mitchell full path against the scalar unit on fractions picked by
-/// leading-one position: every (k1, k2) pair, each with a single-bit,
+/// The Mitchell full path against the structural model on fractions picked
+/// by leading-one position: every (k1, k2) pair, each with a single-bit,
 /// all-ones and random tail, plus zero. Random bit patterns almost never
 /// have a short fraction, so this is what reaches the cross term's long
 /// shifts and its zero-fraction rule.
@@ -179,12 +173,12 @@ void run_full_path_leading_ones() {
     }
   }
   const std::size_t n = a.size();
-  std::vector<T> out(n), ref(n);
+  std::vector<T> out(n);
   for (int tr : {0, 3, FB / 2}) {
     batch::acfp_mul_n(a.data(), b.data(), out.data(), n, AcfpPath::Full, tr);
-    for (std::size_t i = 0; i < n; ++i)
-      ref[i] = acfp_mul(a[i], b[i], AcfpPath::Full, tr);
-    expect_span_matches("acfp_mul_n(full)", out, ref);
+    expect_span_matches_oracle("acfp_mul_n(full)", a, b, out, [&](T x, T y) {
+      return arith::structural_acfp_mul(x, y, AcfpPath::Full, tr);
+    });
   }
 }
 
@@ -197,7 +191,7 @@ TEST(BatchUnits, FullPathLeadingOnesDouble) {
 
 template <typename T>
 void run_sfu_sweep() {
-  const auto a = operands<T>(kN, 5), b = operands<T>(kN, 6);
+  const auto a = fuzz_operands<T>(kN, 5), b = fuzz_operands<T>(kN, 6);
   std::vector<T> out(kN), ref(kN);
   batch::ircp_n(a.data(), out.data(), kN);
   for (std::size_t i = 0; i < kN; ++i) ref[i] = ircp(a[i]);
@@ -218,7 +212,7 @@ void run_sfu_sweep() {
   for (std::size_t i = 0; i < kN; ++i) ref[i] = ifp_div(a[i], b[i]);
   expect_span_matches("ifp_div_n", out, ref);
 
-  const auto c = operands<T>(kN, 7);
+  const auto c = fuzz_operands<T>(kN, 7);
   for (int th : {4, 8, 23}) {
     batch::ifp_fma_n(a.data(), b.data(), c.data(), out.data(), kN, th);
     for (std::size_t i = 0; i < kN; ++i)
@@ -472,7 +466,7 @@ TEST(SimRealCompound, MatchesBinaryOperatorAndCountsOnce) {
 /// Random bit patterns (every IEEE special class) then tame positives.
 template <typename T>
 std::vector<T> mixed_operands(std::size_t n, std::uint64_t seed) {
-  std::vector<T> v = operands<T>(n / 2, seed);
+  std::vector<T> v = fuzz_operands<T>(n / 2, seed);
   const auto tame = positive_operands<T>(n - n / 2, seed + 1000);
   v.insert(v.end(), tame.begin(), tame.end());
   return v;

@@ -1,14 +1,22 @@
 // Tests for the structural datapath primitives, plus the bit-exact
-// cross-verification of the structural unit models against the functional
-// models (the Fig. 11 "functional verification" step of the paper's flow).
+// cross-verification of the functional models against the structural unit
+// models, their oracle (the Fig. 11 "functional verification" step of the
+// paper's flow), over every 16-bit operand pattern and the IEEE specials.
 #include "arith/datapath.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
+#include "arith/mitchell.h"
+#include "bit_patterns.h"
 #include "common/rng.h"
+#include "ihw/acfp_mul.h"
 #include "ihw/ifp_add.h"
+#include "ihw/ifp_mul.h"
+#include "ihw/trunc_mul.h"
 
 namespace ihw::arith {
 namespace {
@@ -95,6 +103,23 @@ TEST(ArrayMultiplier, ColumnTruncationUnderestimatesBoundedly) {
   }
 }
 
+TEST(ArrayMultiplier, FormsExactlyTheCellsAtOrAboveTheDropColumn) {
+  // Every 6 x 5-bit operand pair against the cell-by-cell sum.
+  for (int drop = 0; drop <= 10; ++drop) {
+    for (std::uint64_t a = 0; a < 64; ++a) {
+      for (std::uint64_t b = 0; b < 32; ++b) {
+        unsigned __int128 cells = 0;
+        for (int i = 0; i < 6; ++i)
+          for (int j = 0; j < 5; ++j)
+            if (((a >> i) & (b >> j) & 1ull) && i + j >= drop)
+              cells += static_cast<unsigned __int128>(1) << (i + j);
+        ASSERT_EQ(array_multiply(a, b, 6, 5, drop), cells)
+            << "a=" << a << " b=" << b << " drop=" << drop;
+      }
+    }
+  }
+}
+
 TEST(ArrayMultiplier, CellCountMatchesClosedForm) {
   EXPECT_EQ(array_cell_count(24, 24, 0), 576);
   EXPECT_EQ(array_cell_count(53, 53, 0), 2809);
@@ -112,67 +137,123 @@ TEST(ArrayMultiplier, CellCountMatchesClosedForm) {
 // Structural vs functional cross-verification (the paper's VHDL-vs-C++ step).
 // ---------------------------------------------------------------------------
 
-class StructuralAdderMatch : public ::testing::TestWithParam<int> {};
+/// Every operand pair of the shared sets: the exhaustive 16-bit patterns
+/// and the grid of IEEE special values. `unit` is the functional model
+/// (the lane on one element), `oracle` the structural mirror.
+template <typename T, typename Unit, typename Oracle>
+void expect_unit_matches(const char* what, Unit unit, Oracle oracle) {
+  const auto check = [&](const std::vector<T>& a, const std::vector<T>& b) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const T f = unit(a[i], b[i]);
+      const T s = oracle(a[i], b[i]);
+      if (fp::to_bits(f) != fp::to_bits(s)) {
+        ADD_FAILURE() << what << ": a=0x" << std::hex << fp::to_bits(a[i])
+                      << " b=0x" << fp::to_bits(b[i]) << " functional=0x"
+                      << fp::to_bits(f) << " structural=0x" << fp::to_bits(s);
+        return false;
+      }
+    }
+    return true;
+  };
+  test_operands::for_each_exhaustive_pair<T>(check);
+  const auto [sa, sb] = test_operands::special_grid<T>();
+  check(sa, sb);
+}
 
-TEST_P(StructuralAdderMatch, BitExactAcrossRandomOperands) {
-  const int th = GetParam();
-  common::Xoshiro256 rng(100 + static_cast<std::uint64_t>(th));
-  for (int i = 0; i < 60000; ++i) {
-    const float a = static_cast<float>(
-        std::ldexp(rng.uniform(1.0, 2.0), static_cast<int>(rng.uniform(-20, 20))) *
-        (rng.uniform() < 0.5 ? -1.0 : 1.0));
-    const float b = static_cast<float>(
-        std::ldexp(rng.uniform(1.0, 2.0), static_cast<int>(rng.uniform(-20, 20))) *
-        (rng.uniform() < 0.5 ? -1.0 : 1.0));
-    const float f = ihw::ifp_add(a, b, th);
-    const float s = structural_ifp_add32(a, b, th);
-    ASSERT_EQ(fp::to_bits(f), fp::to_bits(s))
-        << "a=" << a << " b=" << b << " th=" << th;
-    const float fs = ihw::ifp_sub(a, b, th);
-    const float ss = structural_ifp_add32(a, b, th, /*subtract=*/true);
-    if (!std::isnan(fs) || !std::isnan(ss)) {
-      ASSERT_EQ(fp::to_bits(fs), fp::to_bits(ss));
+template <typename T>
+void adder_matches(int th) {
+  SCOPED_TRACE(th);
+  expect_unit_matches<T>(
+      "ifp_add", [&](T a, T b) { return ihw::ifp_add(a, b, th); },
+      [&](T a, T b) { return structural_ifp_add(a, b, th); });
+  expect_unit_matches<T>(
+      "ifp_sub", [&](T a, T b) { return ihw::ifp_sub(a, b, th); },
+      [&](T a, T b) { return structural_ifp_add(a, b, th, /*subtract=*/true); });
+}
+
+TEST(StructuralAdderMatch, Float) {
+  for (int th : {1, 2, 4, 8, 12, 16, 20, 23, 27}) adder_matches<float>(th);
+}
+
+TEST(StructuralAdderMatch, Double) {
+  for (int th : {1, 4, 8, 16, 23, 33, 45, 52, 56}) adder_matches<double>(th);
+}
+
+/// IEEE-754 sum-of-zeros sign, subnormals flushed first: -0 only when both
+/// addends are -0.
+template <typename T>
+void adder_signed_zeros() {
+  const T dn = std::numeric_limits<T>::denorm_min();
+  const struct {
+    T a, b;
+    bool subtract;
+    T want;
+  } cases[] = {
+      {T(-0.0), T(-0.0), false, T(-0.0)}, {T(-0.0), -dn, false, T(-0.0)},
+      {-dn, -dn, false, T(-0.0)},         {T(-0.0), T(0.0), true, T(-0.0)},
+      {T(-0.0), T(0.0), false, T(0.0)},   {T(0.0), T(-0.0), false, T(0.0)},
+      {T(-0.0), dn, false, T(0.0)},       {T(0.0), T(0.0), true, T(0.0)},
+  };
+  for (const auto& c : cases) {
+    for (int th : {1, 8, 27}) {
+      const T s = structural_ifp_add(c.a, c.b, th, c.subtract);
+      const T f = ihw::ifp_add(c.a, c.b, th, c.subtract);
+      EXPECT_EQ(fp::to_bits(s), fp::to_bits(c.want))
+          << c.a << (c.subtract ? " - " : " + ") << c.b << " th=" << th;
+      EXPECT_EQ(fp::to_bits(f), fp::to_bits(c.want))
+          << c.a << (c.subtract ? " - " : " + ") << c.b << " th=" << th;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(ThSweep, StructuralAdderMatch,
-                         ::testing::Values(1, 2, 4, 8, 12, 16, 20, 23, 27));
+TEST(StructuralAdderMatch, SignedZerosFloat) { adder_signed_zeros<float>(); }
+TEST(StructuralAdderMatch, SignedZerosDouble) { adder_signed_zeros<double>(); }
 
-struct AcfpCase {
-  ihw::AcfpPath path;
-  int trunc;
-};
+template <typename T>
+void ifp_mul_matches() {
+  expect_unit_matches<T>(
+      "ifp_mul", [](T a, T b) { return ihw::ifp_mul(a, b); },
+      [](T a, T b) { return structural_ifp_mul(a, b); });
+}
 
-class StructuralAcfpMatch : public ::testing::TestWithParam<AcfpCase> {};
+TEST(StructuralIfpMulMatch, Float) { ifp_mul_matches<float>(); }
+TEST(StructuralIfpMulMatch, Double) { ifp_mul_matches<double>(); }
 
-TEST_P(StructuralAcfpMatch, BitExactAcrossRandomOperands) {
-  const auto [path, trunc] = GetParam();
-  common::Xoshiro256 rng(200 + static_cast<std::uint64_t>(trunc));
-  for (int i = 0; i < 60000; ++i) {
-    const float a = static_cast<float>(
-        std::ldexp(rng.uniform(1.0, 2.0), static_cast<int>(rng.uniform(-20, 20))) *
-        (rng.uniform() < 0.5 ? -1.0 : 1.0));
-    const float b = static_cast<float>(
-        std::ldexp(rng.uniform(1.0, 2.0), static_cast<int>(rng.uniform(-20, 20))));
-    const float f = ihw::acfp_mul(a, b, path, trunc);
-    const float s = structural_acfp_mul32(a, b, path, trunc);
-    ASSERT_EQ(fp::to_bits(f), fp::to_bits(s)) << "a=" << a << " b=" << b;
+/// Truncations from none to the whole fraction.
+template <typename T>
+std::vector<int> truncations() {
+  constexpr int FB = fp::FloatTraits<T>::frac_bits;
+  return {0, 5, FB / 2, FB - 4, FB};
+}
+
+template <typename T>
+void acfp_mul_matches() {
+  for (int trunc : truncations<T>()) {
+    SCOPED_TRACE(trunc);
+    for (ihw::AcfpPath path : {ihw::AcfpPath::Log, ihw::AcfpPath::Full}) {
+      expect_unit_matches<T>(
+          path == ihw::AcfpPath::Log ? "acfp_mul(log)" : "acfp_mul(full)",
+          [&](T a, T b) { return ihw::acfp_mul(a, b, path, trunc); },
+          [&](T a, T b) { return structural_acfp_mul(a, b, path, trunc); });
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PathTruncSweep, StructuralAcfpMatch,
-    ::testing::Values(AcfpCase{ihw::AcfpPath::Log, 0},
-                      AcfpCase{ihw::AcfpPath::Log, 5},
-                      AcfpCase{ihw::AcfpPath::Log, 17},
-                      AcfpCase{ihw::AcfpPath::Log, 19},
-                      AcfpCase{ihw::AcfpPath::Log, 23},
-                      AcfpCase{ihw::AcfpPath::Full, 0},
-                      AcfpCase{ihw::AcfpPath::Full, 5},
-                      AcfpCase{ihw::AcfpPath::Full, 17},
-                      AcfpCase{ihw::AcfpPath::Full, 20},
-                      AcfpCase{ihw::AcfpPath::Full, 23}));
+TEST(StructuralAcfpMatch, Float) { acfp_mul_matches<float>(); }
+TEST(StructuralAcfpMatch, Double) { acfp_mul_matches<double>(); }
+
+template <typename T>
+void trunc_mul_matches() {
+  for (int trunc : truncations<T>()) {
+    SCOPED_TRACE(trunc);
+    expect_unit_matches<T>(
+        "trunc_mul", [&](T a, T b) { return ihw::trunc_mul(a, b, trunc); },
+        [&](T a, T b) { return structural_trunc_mul(a, b, trunc); });
+  }
+}
+
+TEST(StructuralTruncMulMatch, Float) { trunc_mul_matches<float>(); }
+TEST(StructuralTruncMulMatch, Double) { trunc_mul_matches<double>(); }
 
 }  // namespace
 }  // namespace ihw::arith

@@ -16,12 +16,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "apps/hotspot.h"
+#include "bit_patterns.h"
 #include "fault/guarded_dispatch.h"
 #include "gpu/context.h"
 #include "ihw/batch.h"
@@ -141,40 +141,6 @@ void cross_check_units(IsaLevel level, const std::vector<float>& a,
   }
 }
 
-std::vector<float> from_bits_vec(const std::vector<std::uint32_t>& bits) {
-  std::vector<float> v(bits.size());
-  for (std::size_t i = 0; i < bits.size(); ++i)
-    v[i] = fp::from_bits<float>(bits[i]);
-  return v;
-}
-
-/// Random bit patterns with every IEEE special class mixed in (the
-/// test_batch operand recipe).
-std::vector<float> fuzz_operands(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<float> v(n);
-  const float specials[] = {0.0f,
-                            -0.0f,
-                            std::numeric_limits<float>::infinity(),
-                            -std::numeric_limits<float>::infinity(),
-                            std::numeric_limits<float>::quiet_NaN(),
-                            std::numeric_limits<float>::denorm_min(),
-                            -std::numeric_limits<float>::denorm_min(),
-                            std::numeric_limits<float>::max(),
-                            std::numeric_limits<float>::min(),
-                            1.0f,
-                            -1.0f,
-                            1.5f};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rng() % 8 == 0) {
-      v[i] = specials[rng() % (sizeof(specials) / sizeof(float))];
-    } else {
-      v[i] = fp::from_bits<float>(static_cast<std::uint32_t>(rng()));
-    }
-  }
-  return v;
-}
-
 // --- dispatcher semantics ----------------------------------------------------
 
 TEST(SimdDispatch, NamesAndParsing) {
@@ -240,37 +206,15 @@ TEST(SimdDispatch, BestSupportedIsExecutableAndActiveByDefault) {
 
 // --- exhaustive 16-bit-pattern cross-checks ----------------------------------
 
-/// Every 16-bit pattern, twice: in the high half (all sign/exponent
-/// combinations and upper-fraction bits -- every special class) and in the
-/// low half with a mid-range exponent splice (low-fraction/tail-bit
-/// behaviour). Pairings rotate so each a-class meets aligned, sign-flipped,
-/// and distant-exponent partners.
+/// Every 16-bit pattern pair of test_operands::for_each_exhaustive_pair.
 void run_exhaustive(IsaLevel level) {
   if (!simd::isa_supported(level))
     GTEST_SKIP() << simd::isa_name(level) << " not supported on this host";
-  constexpr std::size_t kN = 1u << 16;
-  std::vector<std::uint32_t> hi(kN), lo(kN);
-  for (std::size_t p = 0; p < kN; ++p) {
-    hi[p] = static_cast<std::uint32_t>(p) << 16;
-    lo[p] = 0x3F000000u | static_cast<std::uint32_t>(p);
-  }
-  const auto rotated = [](const std::vector<std::uint32_t>& v,
-                          std::size_t by) {
-    std::vector<std::uint32_t> r(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) r[i] = v[(i + by) % v.size()];
-    return r;
-  };
-  for (std::size_t rot : {std::size_t{1}, std::size_t{0x8000},
-                          std::size_t{257}}) {
-    cross_check_units(level, from_bits_vec(hi), from_bits_vec(rotated(hi, rot)));
-    if (::testing::Test::HasFatalFailure()) return;
-    cross_check_units(level, from_bits_vec(lo), from_bits_vec(rotated(lo, rot)));
-    if (::testing::Test::HasFatalFailure()) return;
-    // High-half against low-half: large exponent gaps feed the adder's
-    // vanishing-operand select and the multipliers' clamp windows.
-    cross_check_units(level, from_bits_vec(hi), from_bits_vec(rotated(lo, rot)));
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+  test_operands::for_each_exhaustive_pair<float>(
+      [&](const std::vector<float>& a, const std::vector<float>& b) {
+        cross_check_units(level, a, b);
+        return !::testing::Test::HasFatalFailure();
+      });
 }
 
 TEST(SimdExhaustive, Avx2) { run_exhaustive(IsaLevel::kAvx2); }
@@ -288,7 +232,8 @@ void run_fuzz(IsaLevel level) {
                         std::size_t{9}, std::size_t{15}, std::size_t{16},
                         std::size_t{17}, std::size_t{31}, std::size_t{33},
                         std::size_t{4096}, std::size_t{20011}}) {
-    cross_check_units(level, fuzz_operands(n, seed), fuzz_operands(n, seed + 1));
+    cross_check_units(level, test_operands::fuzz_operands<float>(n, seed),
+                      test_operands::fuzz_operands<float>(n, seed + 1));
     if (::testing::Test::HasFatalFailure()) return;
     seed += 2;
   }

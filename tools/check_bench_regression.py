@@ -24,9 +24,10 @@ grossly *slower* than the scalar loop it wraps. `acfp_full` has a lane and
 SIMD kernels (DESIGN.md §15) and carries the 3x floor of the other
 vectorized pairs. Unlike them, that floor holds only with at least AVX2
 dispatch -- the same requirement the --isa step states: measured on a
-Release build, the pair reaches ~30x under AVX-512, ~15x under AVX2 and
-only ~2.1x on the scalar lane (IHW_FORCE_ISA=scalar, or a host without
-AVX2), which fails it with no regression.
+Release build, the pair reaches ~23x under AVX-512, ~12x under AVX2 and
+only ~1.4x on the scalar lane (IHW_FORCE_ISA=scalar, or a host without
+AVX2), which fails it with no regression: there both sides run the same
+lane, the scalar side one element at a time through SimFloat.
 
 --sweep mode gates the memoizing sweep engine (DESIGN.md §11) instead:
 COLD.json and WARM.json are the --json outputs of the same sweep bench run
