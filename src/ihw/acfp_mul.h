@@ -21,17 +21,19 @@ namespace ihw {
 enum class AcfpPath { Log, Full };
 
 /// a * b through the Mitchell multiplier's `path`, `trunc` clamped to
-/// [0, frac_bits] (lanes::acfp_log_lane, lanes::acfp_full_lane).
+/// [0, frac_bits]: the path's core (lanes::acfp_log_core,
+/// lanes::acfp_full_core) for normal operands with an in-range product, its
+/// lane otherwise.
 template <typename T>
-T acfp_mul(T a, T b, AcfpPath path, int trunc = 0) {
+inline T acfp_mul(T a, T b, AcfpPath path, int trunc = 0) {
+  const auto ab = fp::to_bits(a), bb = fp::to_bits(b);
   const fp::BitsOf<T> keep = lanes::frac_keep<T>(trunc);
-  return fp::from_bits<T>(
-      path == AcfpPath::Full
-          ? lanes::acfp_full_lane<T>(fp::to_bits(a), fp::to_bits(b), keep)
-          : lanes::acfp_log_lane<T>(fp::to_bits(a), fp::to_bits(b), keep));
+  if (path == AcfpPath::Full) {
+    return lanes::mul_unit<T, &lanes::acfp_full_lane<T>>(
+        ab, bb, lanes::acfp_full_core<T>(ab, bb, keep), keep);
+  }
+  return lanes::mul_unit<T, &lanes::acfp_log_lane<T>>(
+      ab, bb, lanes::acfp_log_core<T>(ab, bb, keep), keep);
 }
-
-extern template float acfp_mul<float>(float, float, AcfpPath, int);
-extern template double acfp_mul<double>(double, double, AcfpPath, int);
 
 }  // namespace ihw

@@ -22,7 +22,7 @@ class FpDispatch {
   template <Op O, typename T, typename... Ts>
   T op(T x, Ts... xs) const {
     using R = OpRow<O>;
-    if (R::enabled(cfg_)) return R::imprecise(cfg_, x, xs...);
+    if (R::enabled(cfg_)) return imprecise<O>(x, xs...);
     if constexpr (R::unfused) return unfused(x, xs...);
     else return R::precise(x, xs...);
   }
@@ -55,6 +55,14 @@ class FpDispatch {
   }
 
  private:
+  /// The imprecise unit of row O, out of line: one call that runs the unit's
+  /// inlined fast path, so the precise path at every SimReal call site stays
+  /// as small as the host operation.
+  template <Op O, typename T, typename... Ts>
+  [[gnu::noinline]] T imprecise(T x, Ts... xs) const {
+    return OpRow<O>::imprecise(cfg_, x, xs...);
+  }
+
   /// A composite row with its fused unit off: the configured mul unit, then
   /// the configured add unit (how GPGPU-Sim decomposes MAD without one).
   template <typename T>

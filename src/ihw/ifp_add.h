@@ -13,23 +13,27 @@
 namespace ihw {
 
 /// Computes a + b through the TH-threshold imprecise adder, TH clamped to
-/// [1, frac_bits+4] (lanes::ifp_add_lane). Set `subtract` to compute a - b
-/// (the unit negates b's sign, exactly as hardware does).
+/// [1, frac_bits+4]. Set `subtract` to compute a - b (the unit negates b's
+/// sign, exactly as hardware does). Two normal operands take the adder's
+/// core (lanes::ifp_add_core); any other pair runs the whole lane
+/// (lanes::ifp_add_lane) out of line.
 template <typename T>
-T ifp_add(T a, T b, int th, bool subtract = false) {
-  const fp::BitsOf<T> flip =
-      subtract ? fp::FloatTraits<T>::sign_mask : fp::BitsOf<T>{0};
-  return fp::from_bits<T>(lanes::ifp_add_lane<T>(
-      fp::to_bits(a), fp::to_bits(b) ^ flip, lanes::add_th<T>(th)));
+inline T ifp_add(T a, T b, int th, bool subtract = false) {
+  using B = fp::BitsOf<T>;
+  const B ab = fp::to_bits(a);
+  const B bb =
+      fp::to_bits(b) ^ (subtract ? fp::FloatTraits<T>::sign_mask : B{0});
+  th = lanes::add_th<T>(th);
+  if (lanes::both_normal<T>(ab, bb)) [[likely]]
+    return fp::from_bits<T>(lanes::ifp_add_core<T>(ab, bb, th));
+  return fp::from_bits<T>(
+      lanes::out_of_line<&lanes::ifp_add_lane<T>>(ab, bb, th));
 }
 
 /// a - b through the imprecise adder.
 template <typename T>
-T ifp_sub(T a, T b, int th) {
+inline T ifp_sub(T a, T b, int th) {
   return ifp_add(a, b, th, /*subtract=*/true);
 }
-
-extern template float ifp_add<float>(float, float, int, bool);
-extern template double ifp_add<double>(double, double, int, bool);
 
 }  // namespace ihw

@@ -13,14 +13,13 @@
 
 namespace ihw {
 
-/// a * b through the imprecise multiplier (lanes::ifp_mul_lane).
+/// a * b through the imprecise multiplier: lanes::ifp_mul_core for normal
+/// operands with an in-range product, lanes::ifp_mul_lane otherwise.
 template <typename T>
-T ifp_mul(T a, T b) {
-  return fp::from_bits<T>(
-      lanes::ifp_mul_lane<T>(fp::to_bits(a), fp::to_bits(b)));
+inline T ifp_mul(T a, T b) {
+  const auto ab = fp::to_bits(a), bb = fp::to_bits(b);
+  return lanes::mul_unit<T, &lanes::ifp_mul_lane<T>>(
+      ab, bb, lanes::ifp_mul_core<T>(ab, bb));
 }
-
-extern template float ifp_mul<float>(float, float);
-extern template double ifp_mul<double>(double, double);
 
 }  // namespace ihw

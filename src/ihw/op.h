@@ -20,10 +20,10 @@ namespace ihw {
 enum class Op { Add, Sub, Mul, Div, Rcp, Rsqrt, Sqrt, Log2, Exp2, Fma, Mac };
 inline constexpr int kNumOps = static_cast<int>(Op::Mac) + 1;
 
-/// TH of the imprecise adder as every row applies it. The scalar adder
-/// clamps TH < 1 to 1, but the fused mac kernels read th < 1 as a precise
-/// accumulate (the GEMM accumulator policies rely on that), so the rows
-/// clamp here, once.
+/// TH of the imprecise adder with TH < 1 clamped to 1. The adder units and
+/// spans clamp TH themselves (lanes::add_th); the fused mac kernels read
+/// th < 1 as a precise accumulate (the GEMM accumulator policies rely on
+/// that), so the Mac row clamps before it calls them.
 inline int add_th(const IhwConfig& c) { return c.add_th < 1 ? 1 : c.add_th; }
 
 template <Op O> struct OpRow;
@@ -46,10 +46,10 @@ struct OpRow<Op::Add> : OpUnit<2, &IhwConfig::add_enabled,
                                fault::UnitClass::Add, gpu::OpClass::FAdd> {
   template <typename T> static T precise(T a, T b) { return a + b; }
   template <typename T>
-  static T imprecise(Cfg c, T a, T b) { return ifp_add(a, b, add_th(c)); }
+  static T imprecise(Cfg c, T a, T b) { return ifp_add(a, b, c.add_th); }
   template <typename T>
   static void imprecise_n(Cfg c, T* o, std::size_t n, const T* a, const T* b) {
-    batch::ifp_add_n(a, b, o, n, add_th(c));
+    batch::ifp_add_n(a, b, o, n, c.add_th);
   }
 };
 
@@ -58,10 +58,10 @@ struct OpRow<Op::Sub> : OpUnit<2, &IhwConfig::add_enabled,
                                fault::UnitClass::Add, gpu::OpClass::FAdd> {
   template <typename T> static T precise(T a, T b) { return a - b; }
   template <typename T>
-  static T imprecise(Cfg c, T a, T b) { return ifp_sub(a, b, add_th(c)); }
+  static T imprecise(Cfg c, T a, T b) { return ifp_sub(a, b, c.add_th); }
   template <typename T>
   static void imprecise_n(Cfg c, T* o, std::size_t n, const T* a, const T* b) {
-    batch::ifp_sub_n(a, b, o, n, add_th(c));
+    batch::ifp_sub_n(a, b, o, n, c.add_th);
   }
 };
 
@@ -159,10 +159,10 @@ struct OpRow<Op::Fma> : OpUnit<3, &IhwConfig::fma_enabled, fault::UnitClass::Fma
                                gpu::OpClass::FFma, /*Unfused=*/true> {
   template <typename T> static T precise(T a, T b, T c) { return a * b + c; }
   template <typename T>
-  static T imprecise(Cfg g, T a, T b, T c) { return ifp_fma(a, b, c, add_th(g)); }
+  static T imprecise(Cfg g, T a, T b, T c) { return ifp_fma(a, b, c, g.add_th); }
   template <typename T>
   static void imprecise_n(Cfg g, T* o, std::size_t n, const T* a, const T* b, const T* c) {
-    batch::ifp_fma_n(a, b, c, o, n, add_th(g));
+    batch::ifp_fma_n(a, b, c, o, n, g.add_th);
   }
 };
 

@@ -1,11 +1,14 @@
 #pragma once
 // The float span kernels of the SIMD backends, written once (DESIGN.md §15).
 //
-// Kernels<T> is the whole datapath of every KernelTable entry: the same
-// flush / compare-and-swap / clamped-shift-pair / select-chain structure as
-// the lanes in ihw/lanes.h, evaluated per lane with selects in the same
-// precedence order, so the result is bit-identical to the lanes by
-// construction (and enforced input-exhaustively by tests/test_simd.cpp).
+// Kernels<T> is the whole datapath of every KernelTable entry, evaluated per
+// lane with selects in the lanes' precedence order (ihw/lanes.h). The
+// multiplier and SFU kernels follow their lanes op for op, so their bits
+// match by construction. The adder kernel keeps the integer TH datapath --
+// flush, compare-and-swap, clamped shift pair, leading-one normalize --
+// where the adder lane computes one exact add of the truncated operands:
+// the same bits by a different order of operations. tests/test_simd.cpp
+// enforces bit identity with the lanes input-exhaustively, for every kernel.
 // T is an ISA shim -- kernels_avx2.cpp, kernels_avx512.cpp -- that supplies
 // the lane vector V, the compare-result type M and about 25 always-inline
 // intrinsic wrappers:

@@ -12,14 +12,14 @@
 namespace ihw {
 
 /// a * b through the bit-truncation multiplier, `trunc` clamped to
-/// [0, frac_bits] (lanes::trunc_mul_lane).
+/// [0, frac_bits]: lanes::trunc_mul_core for normal operands with an
+/// in-range product, lanes::trunc_mul_lane otherwise.
 template <typename T>
-T trunc_mul(T a, T b, int trunc) {
-  return fp::from_bits<T>(lanes::trunc_mul_lane<T>(
-      fp::to_bits(a), fp::to_bits(b), lanes::frac_keep<T>(trunc)));
+inline T trunc_mul(T a, T b, int trunc) {
+  const auto ab = fp::to_bits(a), bb = fp::to_bits(b);
+  const fp::BitsOf<T> keep = lanes::frac_keep<T>(trunc);
+  return lanes::mul_unit<T, &lanes::trunc_mul_lane<T>>(
+      ab, bb, lanes::trunc_mul_core<T>(ab, bb, keep), keep);
 }
-
-extern template float trunc_mul<float>(float, float, int);
-extern template double trunc_mul<double>(double, double, int);
 
 }  // namespace ihw

@@ -88,4 +88,51 @@ void for_each_exhaustive_pair(Check&& check) {
   }
 }
 
+/// Fraction fields for operands built at chosen exponent fields: zero, the
+/// lowest and highest bit, all ones, and every 4099th 16-bit pattern placed
+/// in the top and in the bottom of the field (the two halves of
+/// for_each_exhaustive_pair).
+template <typename T>
+std::vector<fp::BitsOf<T>> edge_fractions() {
+  using Tr = fp::FloatTraits<T>;
+  using B = fp::BitsOf<T>;
+  std::vector<B> f = {0, 1, Tr::hidden_bit >> 1, (Tr::hidden_bit >> 1) | 1,
+                      Tr::frac_mask, Tr::frac_mask - 1};
+  for (B p = 1; p < (B{1} << 16); p += 4099) {
+    f.push_back(p << (Tr::frac_bits - 16));
+    f.push_back(p);
+  }
+  return f;
+}
+
+/// Every operand with an exponent field from `fields`, either sign and a
+/// fraction from edge_fractions.
+template <typename T>
+std::vector<T> field_operands(const std::vector<int>& fields) {
+  using Tr = fp::FloatTraits<T>;
+  using B = fp::BitsOf<T>;
+  std::vector<T> v;
+  for (int e : fields)
+    for (B sign : {B{0}, Tr::sign_mask})
+      for (B frac : edge_fractions<T>())
+        v.push_back(fp::from_bits<T>(
+            sign | (static_cast<B>(e) << Tr::frac_bits) | frac));
+  return v;
+}
+
+/// Every pair of field_operands(fa) x field_operands(fb), as two spans.
+template <typename T>
+std::pair<std::vector<T>, std::vector<T>> field_pairs(
+    const std::vector<int>& fa, const std::vector<int>& fb) {
+  const std::vector<T> xs = field_operands<T>(fa), ys = field_operands<T>(fb);
+  std::pair<std::vector<T>, std::vector<T>> pairs;
+  for (T x : xs) {
+    for (T y : ys) {
+      pairs.first.push_back(x);
+      pairs.second.push_back(y);
+    }
+  }
+  return pairs;
+}
+
 }  // namespace ihw::test_operands

@@ -1,6 +1,6 @@
 // Batch bit-identity for the SoA fast path (DESIGN.md §10): every adder and
 // multiplier span across its parameter space against the structural
-// datapath models, every SFU span against its scalar unit, every op-table
+// datapath models, every SFU span against the reference model, every op-table
 // row through every layer (values + counters, unscreened and screened), the
 // multi-op guarded/faulted screen, runtime::batch_apply across thread
 // counts, and the batched app ports against their scalar SimReal
@@ -29,6 +29,7 @@
 #include "ihw/dispatch.h"
 #include "ihw/op.h"
 #include "runtime/parallel.h"
+#include "sfu_reference.h"
 
 namespace ihw {
 namespace {
@@ -189,35 +190,36 @@ TEST(BatchUnits, FullPathLeadingOnesDouble) {
   run_full_path_leading_ones<double>();
 }
 
+/// Every SFU span and the divider span against the reference model
+/// (sfu_reference.h), which scales with std::ldexp where the units and the
+/// SIMD kernels scale in the exponent field; the fma span against the
+/// structural adder fed by the structural multiplier.
 template <typename T>
 void run_sfu_sweep() {
   const auto a = fuzz_operands<T>(kN, 5), b = fuzz_operands<T>(kN, 6);
-  std::vector<T> out(kN), ref(kN);
-  batch::ircp_n(a.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = ircp(a[i]);
-  expect_span_matches("ircp_n", out, ref);
-  batch::irsqrt_n(a.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = irsqrt(a[i]);
-  expect_span_matches("irsqrt_n", out, ref);
-  batch::isqrt_n(a.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = isqrt(a[i]);
-  expect_span_matches("isqrt_n", out, ref);
-  batch::ilog2_n(a.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = ilog2(a[i]);
-  expect_span_matches("ilog2_n", out, ref);
-  batch::iexp2_n(a.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = iexp2(a[i]);
-  expect_span_matches("iexp2_n", out, ref);
+  std::vector<T> out(kN);
+  const auto unary = [&](const char* what, auto span, auto ref) {
+    span(a.data(), out.data(), kN);
+    expect_span_matches_oracle(what, a, a, out, [&](T x, T) { return ref(x); });
+  };
+  unary("ircp_n", batch::ircp_n<T>, sfu_reference::ircp<T>);
+  unary("irsqrt_n", batch::irsqrt_n<T>, sfu_reference::irsqrt<T>);
+  unary("isqrt_n", batch::isqrt_n<T>, sfu_reference::isqrt<T>);
+  unary("ilog2_n", batch::ilog2_n<T>, sfu_reference::ilog2<T>);
+  unary("iexp2_n", batch::iexp2_n<T>, sfu_reference::iexp2<T>);
   batch::ifp_div_n(a.data(), b.data(), out.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ref[i] = ifp_div(a[i], b[i]);
-  expect_span_matches("ifp_div_n", out, ref);
+  expect_span_matches_oracle("ifp_div_n", a, b, out, sfu_reference::ifp_div<T>);
 
   const auto c = fuzz_operands<T>(kN, 7);
   for (int th : {4, 8, 23}) {
     batch::ifp_fma_n(a.data(), b.data(), c.data(), out.data(), kN, th);
-    for (std::size_t i = 0; i < kN; ++i)
-      ref[i] = ifp_fma(a[i], b[i], c[i], th);
-    expect_span_matches("ifp_fma_n", out, ref);
+    for (std::size_t i = 0; i < kN; ++i) {
+      const T want = arith::structural_ifp_add(
+          arith::structural_ifp_mul(a[i], b[i]), c[i], th);
+      ASSERT_TRUE(same_bits(out[i], want))
+          << "ifp_fma_n diverges at " << i << ": got " << out[i] << " want "
+          << want;
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 #include "ihw/acfp_mul.h"
 #include "ihw/ifp_add.h"
 #include "ihw/ifp_mul.h"
+#include "ihw/lanes.h"
 #include "ihw/trunc_mul.h"
 
 namespace ihw::arith {
@@ -137,27 +138,35 @@ TEST(ArrayMultiplier, CellCountMatchesClosedForm) {
 // Structural vs functional cross-verification (the paper's VHDL-vs-C++ step).
 // ---------------------------------------------------------------------------
 
+/// False, with one failure recorded, at the first pair (a[i], b[i]) where
+/// `unit` (the functional model) and `oracle` disagree.
+template <typename T, typename Unit, typename Oracle>
+bool matches_on(const char* what, Unit unit, Oracle oracle,
+                const std::vector<T>& a, const std::vector<T>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const T f = unit(a[i], b[i]);
+    const T s = oracle(a[i], b[i]);
+    if (fp::to_bits(f) != fp::to_bits(s)) {
+      ADD_FAILURE() << what << ": a=0x" << std::hex << fp::to_bits(a[i])
+                    << " b=0x" << fp::to_bits(b[i]) << " unit=0x"
+                    << fp::to_bits(f) << " oracle=0x" << fp::to_bits(s);
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Every operand pair of the shared sets: the exhaustive 16-bit patterns
 /// and the grid of IEEE special values. `unit` is the functional model
-/// (the lane on one element), `oracle` the structural mirror.
+/// (the scalar unit), `oracle` the structural mirror.
 template <typename T, typename Unit, typename Oracle>
 void expect_unit_matches(const char* what, Unit unit, Oracle oracle) {
-  const auto check = [&](const std::vector<T>& a, const std::vector<T>& b) {
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const T f = unit(a[i], b[i]);
-      const T s = oracle(a[i], b[i]);
-      if (fp::to_bits(f) != fp::to_bits(s)) {
-        ADD_FAILURE() << what << ": a=0x" << std::hex << fp::to_bits(a[i])
-                      << " b=0x" << fp::to_bits(b[i]) << " functional=0x"
-                      << fp::to_bits(f) << " structural=0x" << fp::to_bits(s);
-        return false;
-      }
-    }
-    return true;
-  };
-  test_operands::for_each_exhaustive_pair<T>(check);
+  test_operands::for_each_exhaustive_pair<T>(
+      [&](const std::vector<T>& a, const std::vector<T>& b) {
+        return matches_on<T>(what, unit, oracle, a, b);
+      });
   const auto [sa, sb] = test_operands::special_grid<T>();
-  check(sa, sb);
+  matches_on<T>(what, unit, oracle, sa, sb);
 }
 
 template <typename T>
@@ -254,6 +263,148 @@ void trunc_mul_matches() {
 
 TEST(StructuralTruncMulMatch, Float) { trunc_mul_matches<float>(); }
 TEST(StructuralTruncMulMatch, Double) { trunc_mul_matches<double>(); }
+
+// ---------------------------------------------------------------------------
+// Boundaries of the scalar units' fast path: operands built at chosen
+// exponent fields (bit_patterns.h field_pairs), where the core must hand
+// over to the range clamp and the special-value chain.
+// ---------------------------------------------------------------------------
+
+/// TH values at the edges of the adder's datapath, and the multipliers'
+/// truncations, shared by the boundary and fast-path tests.
+template <typename T>
+std::vector<int> edge_ths() {
+  constexpr int FB = fp::FloatTraits<T>::frac_bits;
+  return {1, 8, FB - 1, FB, FB + 4};
+}
+
+template <typename T>
+std::vector<int> edge_truncs() {
+  return {0, fp::FloatTraits<T>::frac_bits / 2};
+}
+
+/// Every adder and multiplier unit against its structural mirror on the
+/// pairs (a[i], b[i]).
+template <typename T>
+void expect_all_units_match(const char* what, const std::vector<T>& a,
+                            const std::vector<T>& b) {
+  SCOPED_TRACE(what);
+  for (int th : edge_ths<T>()) {
+    SCOPED_TRACE(th);
+    matches_on<T>(
+        "ifp_add", [&](T x, T y) { return ihw::ifp_add(x, y, th); },
+        [&](T x, T y) { return structural_ifp_add(x, y, th); }, a, b);
+    matches_on<T>(
+        "ifp_sub", [&](T x, T y) { return ihw::ifp_sub(x, y, th); },
+        [&](T x, T y) { return structural_ifp_add(x, y, th, true); }, a, b);
+  }
+  matches_on<T>(
+      "ifp_mul", [](T x, T y) { return ihw::ifp_mul(x, y); },
+      [](T x, T y) { return structural_ifp_mul(x, y); }, a, b);
+  for (int tr : edge_truncs<T>()) {
+    SCOPED_TRACE(tr);
+    for (ihw::AcfpPath path : {ihw::AcfpPath::Log, ihw::AcfpPath::Full}) {
+      matches_on<T>(
+          "acfp_mul", [&](T x, T y) { return ihw::acfp_mul(x, y, path, tr); },
+          [&](T x, T y) { return structural_acfp_mul(x, y, path, tr); }, a, b);
+    }
+    matches_on<T>(
+        "trunc_mul", [&](T x, T y) { return ihw::trunc_mul(x, y, tr); },
+        [&](T x, T y) { return structural_trunc_mul(x, y, tr); }, a, b);
+  }
+}
+
+template <typename T>
+void boundary_cases() {
+  using Tr = fp::FloatTraits<T>;
+  constexpr int FB = Tr::frac_bits;
+  constexpr int kBias = Tr::bias;
+  constexpr int kMax = static_cast<int>(Tr::exp_mask);
+  const auto run = [](const char* what, const std::vector<int>& fa,
+                      const std::vector<int>& fb) {
+    const auto [a, b] = test_operands::field_pairs<T>(fa, fb);
+    expect_all_units_match<T>(what, a, b);
+  };
+  // Sums at field emax-1 whose carry reaches 2^(emax+1-bias) give +-inf;
+  // products land at fields emax-2 .. emax before or after their carry.
+  run("overflow", {kMax - 1}, {kMax - 2, kMax - 1, kBias - 1, kBias, kBias + 1});
+  // Differences of operands at fields 1 and 2 fall below 2^(1-bias) and
+  // flush to the larger operand's signed zero; products land at fields
+  // 0 .. 2 before or after their carry.
+  run("underflow", {1, 2}, {1, 2, kBias - 2, kBias - 1, kBias});
+  // Equal fields: equal fractions of opposite sign cancel exactly, and the
+  // fraction pairs 0/1, half/half+1 and all-ones/all-ones-1 nearly.
+  run("cancellation", {kBias}, {kBias});
+  // Exponent gaps d in {TH-1, TH} for TH in {FB-1, FB, FB+4}: the smaller
+  // operand's last surviving bit, then the whole operand, drops out.
+  run("th x d", {kBias + 8},
+      {kBias + 8 - (FB - 2), kBias + 8 - (FB - 1), kBias + 8 - FB,
+       kBias + 8 - (FB + 3), kBias + 8 - (FB + 4)});
+  // Fields 1 and emax-1 are inside the fast path, 0 and emax outside.
+  run("guard", {0, 1, kMax - 1, kMax}, {0, 1, 2, kBias, kMax - 1, kMax});
+}
+
+TEST(StructuralBoundaries, Float) { boundary_cases<float>(); }
+TEST(StructuralBoundaries, Double) { boundary_cases<double>(); }
+
+/// Each scalar unit against its own lane (lanes.h), the full select chain,
+/// over exponent fields {0, 1, 2, bias, emax-1, emax} on both operands: the
+/// fast-path test admits exactly the pairs whose core is the lane's result.
+template <typename T>
+void scalar_units_are_their_lanes() {
+  using Tr = fp::FloatTraits<T>;
+  using B = fp::BitsOf<T>;
+  constexpr int kMax = static_cast<int>(Tr::exp_mask);
+  const std::vector<int> fields = {0, 1, 2, Tr::bias, kMax - 1, kMax};
+  const auto [a, b] = test_operands::field_pairs<T>(fields, fields);
+  const auto lane = [](auto f) {
+    return [f](T x, T y) {
+      return fp::from_bits<T>(f(fp::to_bits(x), fp::to_bits(y)));
+    };
+  };
+  for (int th : edge_ths<T>()) {
+    SCOPED_TRACE(th);
+    const int t = ihw::lanes::add_th<T>(th);
+    matches_on<T>(
+        "ifp_add", [&](T x, T y) { return ihw::ifp_add(x, y, th); },
+        lane([&](B x, B y) { return ihw::lanes::ifp_add_lane<T>(x, y, t); }),
+        a, b);
+    matches_on<T>(
+        "ifp_sub", [&](T x, T y) { return ihw::ifp_sub(x, y, th); },
+        lane([&](B x, B y) {
+          return ihw::lanes::ifp_add_lane<T>(x, y ^ Tr::sign_mask, t);
+        }),
+        a, b);
+  }
+  matches_on<T>(
+      "ifp_mul", [](T x, T y) { return ihw::ifp_mul(x, y); },
+      lane([](B x, B y) { return ihw::lanes::ifp_mul_lane<T>(x, y); }), a, b);
+  for (int tr : edge_truncs<T>()) {
+    SCOPED_TRACE(tr);
+    const B keep = ihw::lanes::frac_keep<T>(tr);
+    matches_on<T>(
+        "acfp_mul(log)",
+        [&](T x, T y) { return ihw::acfp_mul(x, y, ihw::AcfpPath::Log, tr); },
+        lane([&](B x, B y) { return ihw::lanes::acfp_log_lane<T>(x, y, keep); }),
+        a, b);
+    matches_on<T>(
+        "acfp_mul(full)",
+        [&](T x, T y) { return ihw::acfp_mul(x, y, ihw::AcfpPath::Full, tr); },
+        lane([&](B x, B y) { return ihw::lanes::acfp_full_lane<T>(x, y, keep); }),
+        a, b);
+    matches_on<T>(
+        "trunc_mul", [&](T x, T y) { return ihw::trunc_mul(x, y, tr); },
+        lane([&](B x, B y) { return ihw::lanes::trunc_mul_lane<T>(x, y, keep); }),
+        a, b);
+  }
+}
+
+TEST(FastPath, ScalarUnitsAreTheirLanesFloat) {
+  scalar_units_are_their_lanes<float>();
+}
+TEST(FastPath, ScalarUnitsAreTheirLanesDouble) {
+  scalar_units_are_their_lanes<double>();
+}
 
 }  // namespace
 }  // namespace ihw::arith

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <limits>
 
+#include "bit_patterns.h"
 #include "common/rng.h"
+#include "sfu_reference.h"
 
 namespace ihw {
 namespace {
@@ -171,6 +173,38 @@ TEST(Sfu, SqrtConsistentWithRsqrtIdentity) {
                         std::sqrt(x);
     EXPECT_NEAR(prod, 1.0, 0.25);
   }
+}
+
+/// Every scalar SFU and the divider against the reference model
+/// (sfu_reference.h, std::ldexp scaling) over the exhaustive 16-bit
+/// patterns and the grid of special values: the exponent-field scaling and
+/// the single operand-class test change no bit.
+TYPED_TEST(SfuTest, MatchesLdexpReferenceModel) {
+  using T = TypeParam;
+  namespace ref = sfu_reference;
+  const auto expect = [](const char* what, T x, T y, T got, T want) {
+    if (fp::to_bits(got) == fp::to_bits(want)) return true;
+    ADD_FAILURE() << what << ": x=0x" << std::hex << fp::to_bits(x) << " y=0x"
+                  << fp::to_bits(y) << " unit=0x" << fp::to_bits(got)
+                  << " reference=0x" << fp::to_bits(want);
+    return false;
+  };
+  const auto check = [&](const std::vector<T>& a, const std::vector<T>& b) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const T x = a[i], y = b[i];
+      if (!expect("ircp", x, x, ircp(x), ref::ircp(x)) ||
+          !expect("irsqrt", x, x, irsqrt(x), ref::irsqrt(x)) ||
+          !expect("isqrt", x, x, isqrt(x), ref::isqrt(x)) ||
+          !expect("ilog2", x, x, ilog2(x), ref::ilog2(x)) ||
+          !expect("iexp2", x, x, iexp2(x), ref::iexp2(x)) ||
+          !expect("ifp_div", x, y, ifp_div(x, y), ref::ifp_div(x, y)))
+        return false;
+    }
+    return true;
+  };
+  test_operands::for_each_exhaustive_pair<T>(check);
+  const auto [sa, sb] = test_operands::special_grid<T>();
+  check(sa, sb);
 }
 
 }  // namespace

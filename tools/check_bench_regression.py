@@ -18,16 +18,30 @@ benchmark pair rather than absolute times: a vectorized kernel that slips
 under its floor has regressed grossly (>3x from its measured-at-merge
 margin), whatever the host -- save `acfp_full`, below.
 
+The same report also bounds the element-wise path from above: each
+imprecise BM_Span{Mul,Add}Scalar/<unit> row may cost at most CEILINGS[row]
+times its .../precise row, both timed through SimFloat one element at a
+time. A scalar unit runs its inlined core on normal operands (DESIGN.md
+§10), so its cost is its datapath next to the host operation's; a unit that
+falls back to the whole select chain or an out-of-line call per element
+crosses the ceiling on any host. Each ceiling is twice the larger ratio
+measured at merge on an AVX-512 host, Release, in the default and the
+-march=native build: ifp 2.1x / 2.9x, acfp_log 2.3x / 2.5x, acfp_full
+5.3x / 5.9x, trunc 2.5x / 3.5x, adder ifp 3.9x / 4.2x. Scalar units that
+ran the whole lane per element measured 7.9x, 6.7x, 9.5x, 6.6x and 8.6x
+(default build).
+
 Pairs whose batch side intentionally runs element-wise (the screened
 `guarded` configuration) only gate against the batch entry point becoming
 grossly *slower* than the scalar loop it wraps. `acfp_full` has a lane and
 SIMD kernels (DESIGN.md §15) and carries the 3x floor of the other
 vectorized pairs. Unlike them, that floor holds only with at least AVX2
 dispatch -- the same requirement the --isa step states: measured on a
-Release build, the pair reaches ~23x under AVX-512, ~12x under AVX2 and
-only ~1.4x on the scalar lane (IHW_FORCE_ISA=scalar, or a host without
-AVX2), which fails it with no regression: there both sides run the same
-lane, the scalar side one element at a time through SimFloat.
+Release build, the pair reaches ~15x under AVX-512, ~8x under AVX2 and
+only ~0.8x on the scalar lane (IHW_FORCE_ISA=scalar, or a host without
+AVX2), which fails it with no regression: there the batch side runs the
+whole lane per element, where the scalar side, one element at a time
+through SimFloat, runs only the inlined core on normal operands.
 
 --sweep mode gates the memoizing sweep engine (DESIGN.md §11) instead:
 COLD.json and WARM.json are the --json outputs of the same sweep bench run
@@ -115,13 +129,27 @@ FLOORS = {
     "BM_SpanMulScalar/acfp_log": 3.0,
     "BM_SpanMulScalar/trunc": 3.0,
     "BM_SpanAddScalar/ifp": 3.0,
-    # Needs AVX2 dispatch or better: the scalar lane measures ~2.1x.
+    # Needs AVX2 dispatch or better: the scalar lane measures ~0.8x.
     "BM_SpanMulScalar/acfp_full": 3.0,
     "BM_SpanMulScalar/precise": 2.0,
     "BM_SpanAddScalar/precise": 2.0,
     # Element-wise-by-design batch paths: only catch gross overhead.
     "BM_SpanMulScalar/guarded": 1.0 / 3.0,
 }
+
+
+# imprecise scalar-name -> maximum time ratio over its precise row.
+CEILINGS = {
+    "BM_SpanMulScalar/ifp": 6.0,
+    "BM_SpanMulScalar/acfp_log": 5.0,
+    "BM_SpanMulScalar/acfp_full": 12.0,
+    "BM_SpanMulScalar/trunc": 7.0,
+    "BM_SpanAddScalar/ifp": 8.5,
+}
+
+
+def precise_name(scalar_name: str) -> str:
+    return scalar_name.rsplit("/", 1)[0] + "/precise"
 
 
 def batch_name(scalar_name: str) -> str:
@@ -802,12 +830,27 @@ def main() -> int:
                 f"{scalar}: scalar/batch ratio {ratio:.2f}x below floor "
                 f"{floor:.2f}x"
             )
+    for scalar, ceiling in CEILINGS.items():
+        precise = precise_name(scalar)
+        if scalar not in times or precise not in times:
+            failures.append(f"missing benchmark pair: {scalar} / {precise}")
+            continue
+        ratio = times[scalar] / times[precise]
+        status = "ok" if ratio <= ceiling else "FAIL"
+        print(f"{scalar:32s} {ratio:7.2f}x of precise  (ceiling {ceiling:.2f}x)  "
+              f"{status}")
+        if ratio > ceiling:
+            failures.append(
+                f"{scalar}: {ratio:.2f}x the precise element-wise row, above "
+                f"ceiling {ceiling:.2f}x"
+            )
     if failures:
         print("\nbatched-kernel performance regression:", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print("\nall batched-kernel speedups at or above their floors")
+    print("\nall batched-kernel speedups at or above their floors, and every "
+          "element-wise unit under its ceiling")
     return 0
 
 
