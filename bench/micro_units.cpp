@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/hotspot.h"
 #include "arith/datapath.h"
 #include "arith/mitchell.h"
 #include "common/args.h"
@@ -384,6 +385,32 @@ void span_sfu_isa_row(benchmark::State& state, bool IhwConfig::*enable,
                           static_cast<std::int64_t>(kSpan));
 }
 
+/// One row of the HotSpot steady-state relaxation (apps::relax_row) on an
+/// L1-resident 3 x 258 field: the relax_row_f64 slot at vector levels, the
+/// per-cell divide loop at isa:scalar.
+void relax_row_isa_row(benchmark::State& state, simd::IsaLevel level) {
+  simd::ScopedIsa forced(level);
+  constexpr std::size_t kCols = 258;
+  apps::HotspotParams p;
+  p.rows = 3;
+  p.cols = kCols;
+  p.steady_init = false;
+  const auto in = apps::make_hotspot_input(p, 5);
+  const std::vector<double> field = apps::relax_to_steady_state(p, in);
+  const apps::RelaxModel k = apps::relax_model(p);
+  std::vector<double> out(kCols);
+  const double* row = field.data() + kCols;
+  for (auto _ : state) {
+    apps::relax_row(k, row, row - kCols, row + kCols, &in.power(1, 0),
+                    out.data(), kCols);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  label_isa(state);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kCols));
+}
+
 void register_isa_rows() {
   using simd::IsaLevel;
   for (IsaLevel level :
@@ -410,6 +437,8 @@ void register_isa_rows() {
     benchmark::RegisterBenchmark(("BM_SpanRsqrtBatch/sfu" + suffix).c_str(),
                                  span_sfu_isa_row, &IhwConfig::rsqrt_enabled,
                                  &gpu::batch_rsqrt<float>, level);
+    benchmark::RegisterBenchmark(("BM_SpanRelaxRowBatch" + suffix).c_str(),
+                                 relax_row_isa_row, level);
   }
 }
 

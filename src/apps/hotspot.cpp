@@ -1,12 +1,12 @@
 #include "apps/hotspot.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/aligned.h"
 #include "common/rng.h"
 #include "gpu/batch.h"
+#include "ihw/simd/isa.h"
 #include "runtime/parallel.h"
 
 namespace ihw::apps {
@@ -30,17 +30,6 @@ RcModel rc_model(const HotspotParams& p) {
           grid_h / (2.0 * p.k_si * p.t_chip * grid_w),
           p.t_chip / (p.k_si * grid_h * grid_w),
           p.precision / (p.max_pd / (p.factor_chip * p.t_chip * p.spec_heat))};
-}
-
-// Two adjacent cells per SSE2 divpd: the relaxation is divider-bound.
-using double2 = double __attribute__((vector_size(16)));
-using float2 = float __attribute__((vector_size(8)));
-
-template <typename V, typename T>
-V load(const T* p) {
-  V v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
 }
 
 }  // namespace
@@ -83,45 +72,51 @@ HotspotInput make_hotspot_input(const HotspotParams& p, std::uint64_t seed) {
   return in;
 }
 
-std::vector<double> relax_to_steady_state(const HotspotParams& p,
-                                          const HotspotInput& in) {
+RelaxModel relax_model(const HotspotParams& p) {
   const RcModel m = rc_model(p);
   // Largest stable explicit step (the lateral conductances dominate).
   const double step = 0.9 * m.cap / (2.0 / m.rx + 2.0 / m.ry + 1.0 / m.rz);
-  const double sdc = step / m.cap;
-  const double amb = p.amb_temp + 236.0;
+  return {step / m.cap, p.amb_temp + 236.0, m.rx, m.ry, m.rz};
+}
 
+void relax_row(const RelaxModel& k, const double* row, const double* north,
+               const double* south, const float* power, double* out,
+               std::size_t cols) {
+  if (cols == 0) return;
+  const std::size_t last = cols - 1;
+  // Cell c with west and east neighbours at w and e.
+  const auto cell = [&](std::size_t c, std::size_t w, std::size_t e) {
+    const double tc = row[c];
+    out[c] = tc + k.sdc * (double{power[c]} +
+                           (north[c] + south[c] - 2.0 * tc) / k.ry +
+                           (row[w] + row[e] - 2.0 * tc) / k.rx +
+                           (k.amb - tc) / k.rz);
+  };
+  // Edge columns replicate the centre cell for their missing neighbour.
+  cell(0, 0, std::min<std::size_t>(1, last));
+  if (last > 1) {
+    if (auto* kernel = simd::kernels().relax_row_f64)
+      kernel(row + 1, north + 1, south + 1, power + 1, out + 1, last - 1,
+             k.sdc, k.amb, k.rx, k.ry, k.rz);
+    else
+      for (std::size_t c = 1; c < last; ++c) cell(c, c - 1, c + 1);
+  }
+  if (last > 0) cell(last, last - 1, last);
+}
+
+std::vector<double> relax_to_steady_state(const HotspotParams& p,
+                                          const HotspotInput& in) {
+  const RelaxModel k = relax_model(p);
   std::vector<double> t(in.temp.begin(), in.temp.end());
   if (t.empty()) return t;
   std::vector<double> tn(t.size());
-  const std::size_t rows = p.rows, cols = p.cols, last = cols - 1;
+  const std::size_t rows = p.rows, cols = p.cols;
   for (int it = 0; it < 3000; ++it) {
     for (std::size_t r = 0; r < rows; ++r) {
-      const double* __restrict row = t.data() + r * cols;
-      const double* __restrict north = r > 0 ? row - cols : row;
-      const double* __restrict south = r + 1 < rows ? row + cols : row;
-      const float* __restrict power = &in.power(r, 0);
-      double* __restrict out = tn.data() + r * cols;
-      // Cell c (V = double) or cells c, c + 1 (V = double2) with west and
-      // east neighbours at w and e: the same IEEE operations either way.
-      const auto relax = [&]<typename V>(std::size_t c, std::size_t w,
-                                         std::size_t e, V pw) {
-        const V tc = load<V>(row + c), tN = load<V>(north + c),
-                tS = load<V>(south + c), tW = load<V>(row + w),
-                tE = load<V>(row + e);
-        const V v = tc + sdc * (pw + (tN + tS - 2.0 * tc) / m.ry +
-                                (tW + tE - 2.0 * tc) / m.rx +
-                                (amb - tc) / m.rz);
-        std::memcpy(out + c, &v, sizeof v);
-      };
-      // Edge columns replicate the centre cell for their missing neighbour.
-      relax(0, 0, std::min<std::size_t>(1, last), double{power[0]});
-      std::size_t c = 1;
-      for (; c + 1 < last; c += 2)
-        relax(c, c - 1, c + 1,
-              __builtin_convertvector(load<float2>(power + c), double2));
-      if (c < last) relax(c, c - 1, c + 1, double{power[c]});
-      if (last > 0) relax(last, last - 1, last, double{power[last]});
+      const double* row = t.data() + r * cols;
+      relax_row(k, row, r > 0 ? row - cols : row,
+                r + 1 < rows ? row + cols : row, &in.power(r, 0),
+                tn.data() + r * cols, cols);
     }
     t.swap(tn);
   }

@@ -43,6 +43,24 @@ struct HotspotInput {
 /// background) and an ambient initial temperature field.
 HotspotInput make_hotspot_input(const HotspotParams& p, std::uint64_t seed);
 
+/// The constants of one cell of the steady-state relaxation: tc + sdc * (pw
+/// + (tN + tS - 2 tc) / ry + (tW + tE - 2 tc) / rx + (amb - tc) / rz), with
+/// the largest stable explicit step folded into sdc.
+struct RelaxModel {
+  double sdc, amb, rx, ry, rz;
+};
+RelaxModel relax_model(const HotspotParams& p);
+
+/// One row of one relaxation sweep: all `cols` cells of `out` from the
+/// centre row, its north and south rows (the row itself at the grid's edge)
+/// and its power row; the edge columns replicate the centre cell for their
+/// missing neighbour. The interior runs through the active KernelTable's
+/// relax_row_f64 when it has one and through a per-cell divide loop
+/// otherwise, with the same bits (DESIGN.md §10).
+void relax_row(const RelaxModel& k, const double* row, const double* north,
+               const double* south, const float* power, double* out,
+               std::size_t cols);
+
 /// The double-precision steady-state field that make_hotspot_input relaxes
 /// `in.temp` to when p.steady_init is set, before rounding it to float.
 /// Tests pin it bit for bit: the float rounding hides last-bit changes.

@@ -13,13 +13,16 @@ const KernelTable kScalarTable{};  // all-null entries: reference loops run
 /// Widest executable level, probed once. The AVX-512 backend needs F (512-bit
 /// foundation), BW/DQ (byte/word and dword/qword compares + movm), and VL;
 /// that is the fixed Skylake-X-and-later server set, so one combined check
-/// keeps the table count small instead of fragmenting per extension.
+/// keeps the table count small instead of fragmenting per extension. The
+/// AVX2 backend also needs FMA (the relaxation row's fused corrections),
+/// which the Intel and AMD CPUs with AVX2 also have.
 IsaLevel detect_best() {
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
       __builtin_cpu_supports("avx512dq") && __builtin_cpu_supports("avx512vl"))
     return IsaLevel::kAvx512;
-  if (__builtin_cpu_supports("avx2")) return IsaLevel::kAvx2;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+    return IsaLevel::kAvx2;
   return IsaLevel::kScalar;
 }
 #else

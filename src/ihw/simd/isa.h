@@ -11,13 +11,14 @@
 // every table entry is null and the lane loops in batch.h run.
 //
 // Layout: every backend kernel is written once, as a template over an ISA
-// shim, in kernel_body.h. Each ISA is one shim file -- kernels_avx2.cpp,
-// kernels_avx512.cpp -- compiled with just enough -m flags for its own ISA:
-// it defines the shim (the lane vector and compare-result types plus ~25
-// always-inline intrinsic wrappers), includes the body and defines its
-// table below. To add a kernel, write one body function and give it one
-// KernelTable slot (and its place in Kernels<T>::table); to add an ISA,
-// write one shim file and give it an IsaLevel.
+// shim, in kernel_body.h. Each ISA is one shim file -- kernels_avx2.cpp
+// (AVX2 + FMA), kernels_avx512.cpp -- compiled with just enough -m flags for
+// its own ISA: it defines the shim (the lane vector and compare-result types
+// plus ~25 always-inline integer wrappers and a dozen double-lane ones),
+// includes the body and defines its table below. To add a kernel, write one
+// body function and give it one KernelTable slot (and its place in
+// Kernels<T>::table); to add an ISA, write one shim file and give it an
+// IsaLevel.
 //
 // Bit-identity contract: a backend entry is only allowed in a table if it
 // produces exactly the bits of the lane in lanes.h for
@@ -47,12 +48,17 @@ enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// function pointer per hand-vectorized kernel. A null entry means "no
 /// hand-written kernel at this level" and the caller runs its scalar
 /// reference loop (that is the entire scalar table, and the double-precision
-/// lanes of every table today -- the hot app spans are float).
+/// unit spans of every table -- the hot app spans are float).
 ///
 /// The kernels cover every float multiplier datapath (ifp_mul, the Mitchell
 /// log and full paths of acfp_mul, trunc_mul), the TH-adder, each multiplier
 /// fused with the accumulate stage, and the SFU linear segments ircp, irsqrt
-/// and isqrt. ifp_div, ilog2 and iexp2 have no slot yet.
+/// and isqrt. ifp_div, ilog2 and iexp2 have no slot yet. One slot is not a
+/// unit: relax_row_f64 runs the interior cells of one row of one sweep of
+/// the HotSpot steady-state relaxation (apps::relax_to_steady_state) in
+/// double, with each divide by the three loop-invariant thermal resistances
+/// replaced by an FMA-corrected reciprocal product that is exactly the
+/// rounded quotient, so the field keeps its bits (DESIGN.md §10).
 ///
 /// Signatures mirror the batch.h span wrappers with the per-span parameter
 /// resolution already done by the caller: `th` arrives pre-clamped to
@@ -62,6 +68,8 @@ enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// multiply-accumulate kernels: `th` is 0 (precise accumulate, result masked
 /// by the full-word `acc_keep`) or pre-clamped to [1, frac_bits+4] (TH-adder
 /// accumulate), exactly the batch::mac_clamp normalization.
+/// relax_row_f64 writes out[i] for i < n from row[i - 1 .. i + 1], north[i],
+/// south[i] and power[i], so row[-1] and row[n] must be readable.
 struct KernelTable {
   const char* name = "scalar";
   void (*ifp_add_f32)(const float* a, const float* b, float* out,
@@ -89,6 +97,10 @@ struct KernelTable {
                             int th, std::uint32_t acc_keep) = nullptr;
   void (*irsqrt_f32)(const float* x, float* out, std::size_t n) = nullptr;
   void (*isqrt_f32)(const float* x, float* out, std::size_t n) = nullptr;
+  void (*relax_row_f64)(const double* row, const double* north,
+                        const double* south, const float* power, double* out,
+                        std::size_t n, double sdc, double amb, double rx,
+                        double ry, double rz) = nullptr;
 };
 
 /// Canonical lowercase name ("scalar", "avx2", "avx512").

@@ -1,5 +1,5 @@
 #pragma once
-// The float span kernels of the SIMD backends, written once (DESIGN.md §15).
+// The span kernels of the SIMD backends, written once (DESIGN.md §15).
 //
 // Kernels<T> is the whole datapath of every KernelTable entry, evaluated per
 // lane with selects in the lanes' precedence order (ihw/lanes.h). The
@@ -8,7 +8,10 @@
 // flush, compare-and-swap, clamped shift pair, leading-one normalize --
 // where the adder lane computes one exact add of the truncated operands:
 // the same bits by a different order of operations. tests/test_simd.cpp
-// enforces bit identity with the lanes input-exhaustively, for every kernel.
+// enforces bit identity with the lanes input-exhaustively, for every unit
+// kernel. The relaxation row has no lane: it matches the divide loop of
+// apps::relax_row by Markstein's theorem, and test_simd checks it on every
+// row length up to 40 and on 10^7 fuzzed quotients.
 // T is an ISA shim -- kernels_avx2.cpp, kernels_avx512.cpp -- that supplies
 // the lane vector V, the compare-result type M and about 25 always-inline
 // intrinsic wrappers:
@@ -17,11 +20,18 @@
 //   eq gt mand mor mandnot sel zero_if add_carry ps_bits mul48 add_ps
 //   seg_dp, and kLanes (lanes per V)
 //
+// and, for the one double-precision kernel (relax_row_f64), the double lane
+// vector D, its compare result DM and a dozen wrappers:
+//
+//   loadd stored set1d addd subd muld divd fmad fnmad widen in_window
+//   dmand all seld, and kDLanes (lanes per D)
+//
 // Only a shim's translation unit includes this header, after <immintrin.h>
 // and with its own -m flags. Everything here sits in an anonymous namespace,
 // so each ISA's instantiation has internal linkage and can never be merged
 // with another ISA's copy at link time; the only symbols an ISA object
 // exports are its KernelTable.
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -322,6 +332,102 @@ struct Kernels {
     return T::sel(r, T::set1(kQnanBits), T::mor(X.is_nan, neg));
   }
 
+  // --- HotSpot steady-state relaxation row (double lanes) -------------------
+  // Three quotients per cell by loop-invariant divisors, each RN(a / b)
+  // without a divide (DESIGN.md §10). With y = RN(1/b), e = 1 - y b (exact
+  // in one fma) and yl = RN(y e), y + yl is 1/b to about 2^-105, so q =
+  // fma(a, y, a yl) is within a small fraction of an ulp of a / b: a
+  // faithful quotient. From a faithful q and y within half an ulp of 1/b,
+  // Markstein's theorem makes one correction, q + (a - q b) y with the
+  // residual exact in one fma, return RN(a / b) exactly, as long as neither
+  // the residual nor the quotient leaves the normal range. That holds for
+  // divisors in [2^-60, 2^60] and numerators with |a| in [2^-960, 2^960).
+  // A lane outside that window (a zero, whose sign the correction loses, a
+  // tiny or huge a, inf or NaN) takes the real divide instead; the divides
+  // run only when one movemask says some lane of the vector needs them.
+
+  static constexpr std::uint64_t kWindowLo =
+      std::bit_cast<std::uint64_t>(0x1p-960);
+
+  /// One loop-invariant divisor: b, y = RN(1/b), the low part yl of 1/b,
+  /// and the window [kWindowLo, hi) of numerator magnitudes (as bit
+  /// patterns) whose divide-free quotient is exact, empty for b outside
+  /// [2^-60, 2^60].
+  struct Divisor {
+    typename T::D b, y, yl;
+    std::uint64_t hi;
+    explicit Divisor(double d) {
+      const double m = d < 0 ? -d : d;
+      b = T::set1d(d);
+      y = T::set1d(1.0 / d);
+      yl = T::muld(y, T::fnmad(y, b, T::set1d(1.0)));
+      hi = m >= 0x1p-60 && m <= 0x1p60 ? std::bit_cast<std::uint64_t>(0x1p960)
+                                        : kWindowLo;
+    }
+  };
+
+  /// RN(a / b) in the lanes of a inside d's window.
+  static typename T::D quotient(typename T::D a, const Divisor& d) {
+    const typename T::D q = T::fmad(a, d.y, T::muld(a, d.yl));
+    return T::fmad(T::fnmad(q, d.b, a), d.y, q);
+  }
+
+  /// kDLanes cells from the centre row at c (west and east neighbours at
+  /// c - 1 and c + 1), in the scalar loop's operation order.
+  static typename T::D relax_cells(const double* c, const double* north,
+                                   const double* south, const float* power,
+                                   typename T::D sdc, typename T::D amb,
+                                   const Divisor& rx, const Divisor& ry,
+                                   const Divisor& rz) {
+    using D = typename T::D;
+    const D tc = T::loadd(c);
+    const D two_tc = T::muld(T::set1d(2.0), tc);
+    const D av = T::subd(T::addd(T::loadd(north), T::loadd(south)), two_tc);
+    const D ah = T::subd(T::addd(T::loadd(c - 1), T::loadd(c + 1)), two_tc);
+    const D as = T::subd(amb, tc);
+    D vert = quotient(av, ry), horiz = quotient(ah, rx);
+    D sink = quotient(as, rz);
+    const auto mv = T::in_window(av, kWindowLo, ry.hi);
+    const auto mh = T::in_window(ah, kWindowLo, rx.hi);
+    const auto ms = T::in_window(as, kWindowLo, rz.hi);
+    if (!T::all(T::dmand(mv, T::dmand(mh, ms)))) [[unlikely]] {
+      vert = T::seld(T::divd(av, ry.b), vert, mv);
+      horiz = T::seld(T::divd(ah, rx.b), horiz, mh);
+      sink = T::seld(T::divd(as, rz.b), sink, ms);
+    }
+    const D sum = T::addd(T::addd(T::addd(T::widen(power), vert), horiz), sink);
+    return T::addd(tc, T::muld(sdc, sum));
+  }
+
+  /// out[i] = tc + sdc * (pw + (tN + tS - 2 tc) / ry + (tW + tE - 2 tc) / rx
+  /// + (amb - tc) / rz) for i < n, with tc = row[i], tW = row[i - 1], tE =
+  /// row[i + 1], tN = north[i], tS = south[i], pw = power[i]: the interior
+  /// cells of one sweep, so row[-1] and row[n] are read. The ragged tail
+  /// runs as one more vector step on zero-padded stack copies.
+  static void relax_row_f64(const double* row, const double* north,
+                            const double* south, const float* power,
+                            double* out, std::size_t n, double sdc, double amb,
+                            double rx, double ry, double rz) {
+    using D = typename T::D;
+    constexpr std::size_t W = T::kDLanes;
+    const D vsdc = T::set1d(sdc), vamb = T::set1d(amb);
+    const Divisor dx(rx), dy(ry), dz(rz);
+    std::size_t i = 0;
+    for (; i + W <= n; i += W)
+      T::stored(out + i, relax_cells(row + i, north + i, south + i, power + i,
+                                     vsdc, vamb, dx, dy, dz));
+    if (i == n) return;
+    const std::size_t m = n - i;
+    double c[W + 2] = {}, nn[W] = {}, ss[W] = {}, o[W];
+    float pw[W] = {};
+    std::memcpy(c, row + i - 1, (m + 2) * sizeof(double));
+    std::memcpy(nn, north + i, m * sizeof(double));
+    std::memcpy(ss, south + i, m * sizeof(double));
+    std::memcpy(pw, power + i, m * sizeof(float));
+    T::stored(o, relax_cells(c + 1, nn, ss, pw, vsdc, vamb, dx, dy, dz));
+    std::memcpy(out + i, o, m * sizeof(double));
+  }
+
   // --- span driver and table entries ----------------------------------------
 
   /// out[i..] = lane(in[i..]...) one vector at a time. The ragged tail runs
@@ -429,7 +535,8 @@ struct Kernels {
             .acfp_full_f32 = &acfp_full_f32,
             .acfp_full_mac_f32 = &acfp_full_mac_f32,
             .irsqrt_f32 = &irsqrt_f32,
-            .isqrt_f32 = &isqrt_f32};
+            .isqrt_f32 = &isqrt_f32,
+            .relax_row_f64 = &relax_row_f64};
   }
 };
 

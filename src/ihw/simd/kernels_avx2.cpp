@@ -1,11 +1,12 @@
-// AVX2 shim of the float span kernels (DESIGN.md §15): 8 lanes, compare
-// results as all-ones lane vectors, blendv for every select. The kernels
-// themselves are Kernels<T> in kernel_body.h.
+// AVX2 shim of the span kernels (DESIGN.md §15): 8 float lanes or 4 double
+// lanes, compare results as all-ones lane vectors, blendv for every select.
+// The kernels themselves are Kernels<T> in kernel_body.h.
 //
-// Compiled with -mavx2 plus -ffp-contract=off (the SFU path multiplies in
-// double and a contracted fma would change its rounding), and only ever
-// called after cpuid detection admits AVX2, so the rest of the library
-// keeps the portable baseline ISA.
+// Compiled with -mavx2 -mfma plus -ffp-contract=off (the SFU path multiplies
+// in double and a contracted fma would change its rounding; the relaxation
+// row's fmas are explicit intrinsics), and only ever called after cpuid
+// detection admits AVX2 and FMA, so the rest of the library keeps the
+// portable baseline ISA.
 #include <immintrin.h>
 
 #include <cstddef>
@@ -128,6 +129,42 @@ struct Avx2 {
     if (times_xr) approx = _mm256_mul_pd(xr, approx);
     return _mm256_cvtpd_ps(_mm256_mul_pd(approx, pow2(yexp4)));
   }
+
+  // --- double lanes (Kernels<T>::relax_row_f64) -----------------------------
+
+  using D = __m256d;
+  static constexpr std::size_t kDLanes = 4;
+
+  IHW_SHIM D loadd(const double* p) { return _mm256_loadu_pd(p); }
+  IHW_SHIM void stored(double* p, D v) { _mm256_storeu_pd(p, v); }
+  IHW_SHIM D set1d(double x) { return _mm256_set1_pd(x); }
+  IHW_SHIM D addd(D a, D b) { return _mm256_add_pd(a, b); }
+  IHW_SHIM D subd(D a, D b) { return _mm256_sub_pd(a, b); }
+  IHW_SHIM D muld(D a, D b) { return _mm256_mul_pd(a, b); }
+  IHW_SHIM D divd(D a, D b) { return _mm256_div_pd(a, b); }
+  /// a * b + c, rounded once.
+  IHW_SHIM D fmad(D a, D b, D c) { return _mm256_fmadd_pd(a, b, c); }
+  /// c - a * b, rounded once.
+  IHW_SHIM D fnmad(D a, D b, D c) { return _mm256_fnmadd_pd(a, b, c); }
+  /// kDLanes floats widened to doubles (one cvtps2pd).
+  IHW_SHIM D widen(const float* p) { return _mm256_cvtps_pd(_mm_loadu_ps(p)); }
+  using DM = __m256d;  // compare result: all ones in each true lane
+  /// Lanes whose |x| bit pattern lies in [lo, hi) (NaN never does): one
+  /// unsigned 64-bit range compare, as a signed compare of the bits offset
+  /// by 2^63 - lo.
+  IHW_SHIM DM in_window(D x, std::uint64_t lo, std::uint64_t hi) {
+    constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+    const __m256i t = _mm256_add_epi64(
+        _mm256_and_si256(_mm256_castpd_si256(x),
+                         _mm256_set1_epi64x(static_cast<long long>(kTop - 1))),
+        _mm256_set1_epi64x(static_cast<long long>(kTop - lo)));
+    return _mm256_castsi256_pd(_mm256_cmpgt_epi64(
+        _mm256_set1_epi64x(static_cast<long long>((hi - lo) ^ kTop)), t));
+  }
+  IHW_SHIM DM dmand(DM a, DM b) { return _mm256_and_pd(a, b); }
+  IHW_SHIM bool all(DM m) { return _mm256_movemask_pd(m) == 0xF; }
+  /// m ? yes : no per lane.
+  IHW_SHIM D seld(D no, D yes, DM m) { return _mm256_blendv_pd(no, yes, m); }
 };
 
 }  // namespace

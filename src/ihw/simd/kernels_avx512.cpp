@@ -1,11 +1,12 @@
-// AVX-512 shim of the float span kernels (DESIGN.md §15): 16 lanes, compare
-// results in __mmask16 registers, one mask_blend for every select. The
-// kernels themselves are Kernels<T> in kernel_body.h.
+// AVX-512 shim of the span kernels (DESIGN.md §15): 16 float lanes or 8
+// double lanes, compare results in __mmask16 registers, one mask_blend for
+// every select. The kernels themselves are Kernels<T> in kernel_body.h.
 //
 // Requires F+BW+DQ+VL (the fixed Skylake-X-and-later server set; isa.cpp
 // only installs this table when cpuid reports all four). Compiled with the
 // matching -m flags plus -ffp-contract=off (the SFU datapath's double
-// multiply/subtract must round separately, as the scalar reference does).
+// multiply/subtract must round separately, as the scalar reference does;
+// the relaxation row's fmas are explicit AVX-512F intrinsics).
 #include <immintrin.h>
 
 #include <cstddef>
@@ -132,6 +133,43 @@ struct Avx512 {
                                    _mm512_mul_pd(_mm512_set1_pd(b), xr));
     if (times_xr) approx = _mm512_mul_pd(xr, approx);
     return _mm512_cvtpd_ps(_mm512_mul_pd(approx, pow2(yexp8)));
+  }
+
+  // --- double lanes (Kernels<T>::relax_row_f64) -----------------------------
+
+  using D = __m512d;
+  static constexpr std::size_t kDLanes = 8;
+
+  IHW_SHIM D loadd(const double* p) { return _mm512_loadu_pd(p); }
+  IHW_SHIM void stored(double* p, D v) { _mm512_storeu_pd(p, v); }
+  IHW_SHIM D set1d(double x) { return _mm512_set1_pd(x); }
+  IHW_SHIM D addd(D a, D b) { return _mm512_add_pd(a, b); }
+  IHW_SHIM D subd(D a, D b) { return _mm512_sub_pd(a, b); }
+  IHW_SHIM D muld(D a, D b) { return _mm512_mul_pd(a, b); }
+  IHW_SHIM D divd(D a, D b) { return _mm512_div_pd(a, b); }
+  /// a * b + c, rounded once.
+  IHW_SHIM D fmad(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }
+  /// c - a * b, rounded once.
+  IHW_SHIM D fnmad(D a, D b, D c) { return _mm512_fnmadd_pd(a, b, c); }
+  /// kDLanes floats widened to doubles (one vcvtps2pd).
+  IHW_SHIM D widen(const float* p) {
+    return _mm512_cvtps_pd(_mm256_loadu_ps(p));
+  }
+  using DM = __mmask8;
+  /// Lanes whose |x| bit pattern lies in [lo, hi) (NaN never does): one
+  /// unsigned 64-bit range compare.
+  IHW_SHIM DM in_window(D x, std::uint64_t lo, std::uint64_t hi) {
+    const __m512i ax = _mm512_and_si512(
+        _mm512_castpd_si512(x), _mm512_set1_epi64(0x7FFFFFFFFFFFFFFFll));
+    return _mm512_cmplt_epu64_mask(
+        _mm512_sub_epi64(ax, _mm512_set1_epi64(static_cast<long long>(lo))),
+        _mm512_set1_epi64(static_cast<long long>(hi - lo)));
+  }
+  IHW_SHIM DM dmand(DM a, DM b) { return static_cast<DM>(a & b); }
+  IHW_SHIM bool all(DM m) { return m == 0xFF; }
+  /// m ? yes : no per lane.
+  IHW_SHIM D seld(D no, D yes, DM m) {
+    return _mm512_mask_blend_pd(m, no, yes);
   }
 };
 

@@ -1,8 +1,10 @@
 #include "quality/ssim.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 namespace ihw::quality {
 namespace {
@@ -39,33 +41,58 @@ double ssim(const common::GridF& ref, const common::GridF& test, double peak) {
   const double c2 = (kK2 * peak) * (kK2 * peak);
   const int h = kWin / 2;
 
+  // One row of windows at a time, the window index innermost: for each
+  // window offset (dy, dx), in order, every window centre of the row takes
+  // its term. Each window adds the same terms in the same order as a
+  // window-at-a-time loop, so the sums keep their bits, and the inner loops
+  // run over contiguous pixels.
+  const auto span = static_cast<std::size_t>(cols - 2 * h);
+  std::vector<double> sums(5 * span);
+  double* __restrict mu_x = sums.data();
+  double* __restrict mu_y = mu_x + span;
+  double* __restrict var_x = mu_y + span;
+  double* __restrict var_y = var_x + span;
+  double* __restrict cov = var_y + span;
+
   double total = 0.0;
   long long windows = 0;
   for (int cy = h; cy < rows - h; ++cy) {
-    for (int cx = h; cx < cols - h; ++cx) {
-      double mu_x = 0.0, mu_y = 0.0;
-      for (int dy = -h; dy <= h; ++dy)
-        for (int dx = -h; dx <= h; ++dx) {
-          const double wt = w[static_cast<std::size_t>((dy + h) * kWin + (dx + h))];
-          mu_x += wt * ref(static_cast<std::size_t>(cy + dy),
-                           static_cast<std::size_t>(cx + dx));
-          mu_y += wt * test(static_cast<std::size_t>(cy + dy),
-                            static_cast<std::size_t>(cx + dx));
+    std::fill(sums.begin(), sums.end(), 0.0);
+    // Pixel (cy + dy, cx + dx) of window centre cx = h + j is x[j] below.
+    const auto pixels = [&](const common::GridF& g, int dy, int dx) {
+      return &g(static_cast<std::size_t>(cy + dy),
+                static_cast<std::size_t>(h + dx));
+    };
+    for (int dy = -h; dy <= h; ++dy)
+      for (int dx = -h; dx <= h; ++dx) {
+        const double wt =
+            w[static_cast<std::size_t>((dy + h) * kWin + (dx + h))];
+        const float* __restrict x = pixels(ref, dy, dx);
+        const float* __restrict y = pixels(test, dy, dx);
+        for (std::size_t j = 0; j < span; ++j) {
+          mu_x[j] += wt * x[j];
+          mu_y[j] += wt * y[j];
         }
-      double var_x = 0.0, var_y = 0.0, cov = 0.0;
-      for (int dy = -h; dy <= h; ++dy)
-        for (int dx = -h; dx <= h; ++dx) {
-          const double wt = w[static_cast<std::size_t>((dy + h) * kWin + (dx + h))];
-          const double a = ref(static_cast<std::size_t>(cy + dy),
-                               static_cast<std::size_t>(cx + dx)) - mu_x;
-          const double b = test(static_cast<std::size_t>(cy + dy),
-                                static_cast<std::size_t>(cx + dx)) - mu_y;
-          var_x += wt * a * a;
-          var_y += wt * b * b;
-          cov += wt * a * b;
+      }
+    for (int dy = -h; dy <= h; ++dy)
+      for (int dx = -h; dx <= h; ++dx) {
+        const double wt =
+            w[static_cast<std::size_t>((dy + h) * kWin + (dx + h))];
+        const float* __restrict x = pixels(ref, dy, dx);
+        const float* __restrict y = pixels(test, dy, dx);
+        for (std::size_t j = 0; j < span; ++j) {
+          const double a = x[j] - mu_x[j];
+          const double b = y[j] - mu_y[j];
+          var_x[j] += wt * a * a;
+          var_y[j] += wt * b * b;
+          cov[j] += wt * a * b;
         }
-      const double s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) /
-                       ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2));
+      }
+    for (std::size_t j = 0; j < span; ++j) {
+      const double s =
+          ((2 * mu_x[j] * mu_y[j] + c1) * (2 * cov[j] + c2)) /
+          ((mu_x[j] * mu_x[j] + mu_y[j] * mu_y[j] + c1) *
+           (var_x[j] + var_y[j] + c2));
       total += s;
       ++windows;
     }

@@ -17,6 +17,7 @@
 #include "apps/sphinx.h"
 #include "apps/srad.h"
 #include "common/rng.h"
+#include "ihw/simd/isa.h"
 #include "pratt_reference.h"
 #include "quality/grid_metrics.h"
 #include "quality/ssim.h"
@@ -103,9 +104,12 @@ std::vector<double> relax_scalar(const HotspotParams& p,
 
 TEST(Hotspot, SteadyInputMatchesScalarRelaxation) {
   // One-column rows (W and E both replicate the centre), even and odd
-  // interiors, and a tail after the paired interior cells.
-  const std::pair<std::size_t, std::size_t> shapes[] = {
+  // interiors, and every split of a row's cols - 2 interior cells into
+  // whole vectors and a tail at 4 and 8 double lanes (cols = 3..20), under
+  // every ISA level the host supports.
+  std::vector<std::pair<std::size_t, std::size_t>> shapes = {
       {1, 1}, {1, 7}, {7, 1}, {2, 2}, {2, 3}, {3, 17}, {33, 31}, {64, 64}};
+  for (std::size_t cols = 3; cols <= 20; ++cols) shapes.emplace_back(3, cols);
   for (const auto& [rows, cols] : shapes) {
     SCOPED_TRACE(testing::Message() << rows << "x" << cols);
     HotspotParams p;
@@ -116,14 +120,6 @@ TEST(Hotspot, SteadyInputMatchesScalarRelaxation) {
     const auto in = make_hotspot_input(cold, 7);
     const std::vector<double> steady = relax_scalar(p, in);
     const std::vector<float> want(steady.begin(), steady.end());
-    const auto got = make_hotspot_input(p, 7);
-    ASSERT_EQ(got.temp.size(), want.size());
-    EXPECT_EQ(std::memcmp(got.temp.data(), want.data(),
-                          want.size() * sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(got.power.data(), in.power.data(),
-                          in.power.size() * sizeof(float)),
-              0);
 
     // Float rounding hides a last-bit change in the double field, and near
     // 316 K so does the final tc + delta. A zero-mean field relaxing towards
@@ -133,12 +129,28 @@ TEST(Hotspot, SteadyInputMatchesScalarRelaxation) {
     HotspotInput rough = in;
     common::Xoshiro256 rng(3);
     for (auto& v : rough.temp) v = 100.0f * (rng.uniformf() - 0.5f);
-    const std::vector<double> field = relax_to_steady_state(q, rough);
     const std::vector<double> oracle = relax_scalar(q, rough);
-    ASSERT_EQ(field.size(), oracle.size());
-    EXPECT_EQ(std::memcmp(field.data(), oracle.data(),
-                          oracle.size() * sizeof(double)),
-              0);
+
+    for (simd::IsaLevel level : {simd::IsaLevel::kScalar,
+                                 simd::IsaLevel::kAvx2,
+                                 simd::IsaLevel::kAvx512}) {
+      if (!simd::isa_supported(level)) continue;
+      simd::ScopedIsa forced(level);
+      SCOPED_TRACE(simd::isa_name(level));
+      const auto got = make_hotspot_input(p, 7);
+      ASSERT_EQ(got.temp.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.temp.data(), want.data(),
+                            want.size() * sizeof(float)),
+                0);
+      EXPECT_EQ(std::memcmp(got.power.data(), in.power.data(),
+                            in.power.size() * sizeof(float)),
+                0);
+      const std::vector<double> field = relax_to_steady_state(q, rough);
+      ASSERT_EQ(field.size(), oracle.size());
+      EXPECT_EQ(std::memcmp(field.data(), oracle.data(),
+                            oracle.size() * sizeof(double)),
+                0);
+    }
   }
 }
 

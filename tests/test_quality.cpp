@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -91,6 +92,89 @@ TEST(GridMetrics, WedMatchesSerialMaxWithNonFinitePixels) {
     }
   const common::GridF empty;
   EXPECT_EQ(bits(wed(empty, empty)), bits(0.0));
+}
+
+/// SSIM one window at a time: the Gaussian-weighted means, then the
+/// variances and covariance, summed over the 11 x 11 window in row-major
+/// order. The library's row-at-a-time loop must match it bit for bit.
+double ssim_window_at_a_time(const common::GridF& ref,
+                             const common::GridF& test, double peak) {
+  constexpr int kWin = 11;
+  const auto rows = static_cast<int>(ref.rows());
+  const auto cols = static_cast<int>(ref.cols());
+  if (rows < kWin || cols < kWin) return ref.size() ? 1.0 : 0.0;
+  const int h = kWin / 2;
+  double w[kWin * kWin];
+  double norm = 0.0;
+  for (int y = -h; y <= h; ++y)
+    for (int x = -h; x <= h; ++x) {
+      const double g = std::exp(-(x * x + y * y) / (2.0 * 1.5 * 1.5));
+      w[(y + h) * kWin + (x + h)] = g;
+      norm += g;
+    }
+  for (auto& v : w) v /= norm;
+  const double c1 = (0.01 * peak) * (0.01 * peak);
+  const double c2 = (0.03 * peak) * (0.03 * peak);
+  const auto at = [](const common::GridF& g, int r, int c) {
+    return g(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+  };
+
+  double total = 0.0;
+  long long windows = 0;
+  for (int cy = h; cy < rows - h; ++cy) {
+    for (int cx = h; cx < cols - h; ++cx) {
+      double mu_x = 0.0, mu_y = 0.0;
+      for (int dy = -h; dy <= h; ++dy)
+        for (int dx = -h; dx <= h; ++dx) {
+          const double wt = w[(dy + h) * kWin + (dx + h)];
+          mu_x += wt * at(ref, cy + dy, cx + dx);
+          mu_y += wt * at(test, cy + dy, cx + dx);
+        }
+      double var_x = 0.0, var_y = 0.0, cov = 0.0;
+      for (int dy = -h; dy <= h; ++dy)
+        for (int dx = -h; dx <= h; ++dx) {
+          const double wt = w[(dy + h) * kWin + (dx + h)];
+          const double a = at(ref, cy + dy, cx + dx) - mu_x;
+          const double b = at(test, cy + dy, cx + dx) - mu_y;
+          var_x += wt * a * a;
+          var_y += wt * b * b;
+          cov += wt * a * b;
+        }
+      const double s =
+          ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) /
+          ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2));
+      total += s;
+      ++windows;
+    }
+  }
+  return windows ? total / static_cast<double>(windows) : 1.0;
+}
+
+TEST(Ssim, MatchesWindowAtATimeBitForBit) {
+  // The smallest image with a window, one-window-wide strips, non-square
+  // images, and images below the window size (no windows).
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {11, 11}, {11, 12}, {12, 11}, {11, 40}, {40, 11}, {23, 57},
+      {64, 33}, {96, 96}, {10, 30}, {30, 10}};
+  std::uint64_t seed = 81;
+  for (const auto& [rows, cols] : shapes) {
+    for (double peak : {255.0, 1.0}) {
+      common::Xoshiro256 rng(seed++);
+      common::GridF a(rows, cols), b(rows, cols);
+      for (auto& v : a) v = static_cast<float>(rng.uniform(0, peak));
+      // A noisy copy, as the apps score against their reference outputs.
+      for (std::size_t i = 0; i < a.size(); ++i)
+        b.data()[i] = a.data()[i] +
+                      static_cast<float>(rng.uniform(-0.2, 0.2) * peak);
+      for (const auto* test : {&a, &b}) {
+        const double got = ssim(a, *test, peak);
+        const double want = ssim_window_at_a_time(a, *test, peak);
+        EXPECT_EQ(bits(got), bits(want))
+            << rows << "x" << cols << " peak " << peak << ": " << got
+            << " vs " << want;
+      }
+    }
+  }
 }
 
 TEST(Ssim, IdenticalImagesScoreOne) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -173,6 +174,7 @@ TEST(SimdDispatch, ActiveTableMatchesLevelAndScalarIsAllNull) {
   EXPECT_EQ(t.acfp_full_mac_f32, nullptr);
   EXPECT_EQ(t.irsqrt_f32, nullptr);
   EXPECT_EQ(t.isqrt_f32, nullptr);
+  EXPECT_EQ(t.relax_row_f64, nullptr);
 }
 
 TEST(SimdDispatch, ForceClampsToSupportedAndRestores) {
@@ -352,6 +354,157 @@ void run_guarded_parity(IsaLevel level) {
 
 TEST(SimdGuarded, FaultParityAvx2) { run_guarded_parity(IsaLevel::kAvx2); }
 TEST(SimdGuarded, FaultParityAvx512) { run_guarded_parity(IsaLevel::kAvx512); }
+
+// --- the HotSpot relaxation row --------------------------------------------
+
+/// The interior cells of apps::relax_row as a plain divide loop: out[i] from
+/// row[i - 1 .. i + 1], north[i], south[i] and power[i].
+void relax_row_reference(const double* row, const double* north,
+                         const double* south, const float* power, double* out,
+                         std::size_t n, const apps::RelaxModel& k) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double tc = row[i];
+    out[i] = tc + k.sdc * (double{power[i]} +
+                           (north[i] + south[i] - 2.0 * tc) / k.ry +
+                           (row[i - 1] + row[i + 1] - 2.0 * tc) / k.rx +
+                           (k.amb - tc) / k.rz);
+  }
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Runs the active relax_row_f64 on the middle row of a 3 x (n + 2) field
+/// and checks every interior cell against the divide loop, and that nothing
+/// past the row is written.
+void expect_relax_row_matches(const std::vector<double>& field,
+                              const std::vector<float>& power, std::size_t n,
+                              const apps::RelaxModel& k) {
+  const std::size_t cols = n + 2;
+  const double* row = field.data() + cols + 1;
+  std::vector<double> got(n + 1, 12345.0), want(n);
+  simd::kernels().relax_row_f64(row, row - cols, row + cols,
+                                power.data() + cols + 1, got.data(), n, k.sdc,
+                                k.amb, k.rx, k.ry, k.rz);
+  relax_row_reference(row, row - cols, row + cols, power.data() + cols + 1,
+                      want.data(), n, k);
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(bits_of(got[i]), bits_of(want[i]))
+        << "n=" << n << " cell " << i << ": got " << got[i] << " want "
+        << want[i];
+  EXPECT_EQ(got[n], 12345.0) << "n=" << n << ": wrote past the row";
+}
+
+/// Every row length 1..40 (each split into whole vectors and a tail at 4
+/// and 8 lanes), on a relaxed field near 316 K and on a zero-mean field
+/// relaxing towards a zero ambient, where a last-bit change in any quotient
+/// or a reordered sum reaches the output.
+TEST(SimdRelaxRow, EveryLengthMatchesDivideLoop) {
+  bool ran = false;
+  for (IsaLevel level : kVectorLevels) {
+    if (!simd::isa_supported(level)) continue;
+    ran = true;
+    ScopedIsa forced(level);
+    SCOPED_TRACE(simd::isa_name(level));
+    ASSERT_NE(simd::kernels().relax_row_f64, nullptr);
+    for (std::size_t n = 1; n <= 40; ++n) {
+      apps::HotspotParams p;
+      p.rows = 3;
+      p.cols = n + 2;
+      p.steady_init = false;
+      const auto in = apps::make_hotspot_input(p, n);
+      const std::vector<float> power(in.power.begin(), in.power.end());
+      expect_relax_row_matches(apps::relax_to_steady_state(p, in), power, n,
+                               apps::relax_model(p));
+
+      p.amb_temp = -236.0;
+      std::mt19937_64 rng(n);
+      std::uniform_real_distribution<double> temp(-50.0, 50.0);
+      std::vector<double> rough(3 * p.cols);
+      for (auto& v : rough) v = temp(rng);
+      expect_relax_row_matches(rough, power, n, apps::relax_model(p));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  if (!ran) GTEST_SKIP() << "no SIMD level supported on this host";
+}
+
+/// The divide-free quotient against `/` on 10^7 numerators: exponents over
+/// [-1000, 1000] with random significands and signs, plus signed zeros,
+/// subnormals, both edges of the kernel's numerator window, the largest
+/// doubles, infinities and NaNs. The divisors are rx, ry and rz of every
+/// N x N, 1 x N and N x 1 grid up to 1024, and the powers of two and
+/// all-ones significands from 2^-70 to 2^70 (past the divisor window at
+/// both ends). With the centre row zero, south -0, power -0, ambient -0 and
+/// sdc = 1, each cell's output is exactly its north / ry quotient (a zero
+/// quotient reads as +0).
+TEST(SimdRelaxRow, QuotientsAreExactlyRounded) {
+  std::vector<double> divisors;
+  for (std::size_t n = 1; n <= 1024; ++n)
+    for (const auto& [rows, cols] :
+         {std::pair{n, n}, std::pair{std::size_t{1}, n},
+          std::pair{n, std::size_t{1}}}) {
+      apps::HotspotParams p;
+      p.rows = rows;
+      p.cols = cols;
+      const apps::RelaxModel k = apps::relax_model(p);
+      divisors.insert(divisors.end(), {k.rx, k.ry, k.rz});
+    }
+  for (int e = -70; e <= 70; ++e)
+    divisors.insert(divisors.end(), {std::ldexp(1.0, e),
+                                     std::ldexp(2.0 - 0x1p-52, e)});
+  std::sort(divisors.begin(), divisors.end());
+  divisors.erase(std::unique(divisors.begin(), divisors.end()), divisors.end());
+
+  const double specials[] = {
+      0.0, -0.0, 0x1p-1074, -0x1p-1074, 0x1p-1022 - 0x1p-1074, 0x1p-1022,
+      0x1p-960, std::nextafter(0x1p-960, 0.0), 0x1p960,
+      std::nextafter(0x1p960, 0.0), -0x1p960, 0x1p1023, 0x1.fffffffffffffp1023,
+      -0x1.fffffffffffffp1023, HUGE_VAL, -HUGE_VAL, std::nan(""),
+      -std::nan("")};
+  constexpr std::size_t kPerDivisor = 2560;
+  ASSERT_GE(divisors.size() * kPerDivisor, std::size_t{10'000'000});
+
+  bool ran = false;
+  for (IsaLevel level : kVectorLevels) {
+    if (!simd::isa_supported(level)) continue;
+    ran = true;
+    ScopedIsa forced(level);
+    SCOPED_TRACE(simd::isa_name(level));
+    const auto kernel = simd::kernels().relax_row_f64;
+    ASSERT_NE(kernel, nullptr);
+    std::mt19937_64 rng(99);
+    std::vector<double> row(kPerDivisor + 2, 0.0), south(kPerDivisor, -0.0);
+    std::vector<double> a(kPerDivisor), got(kPerDivisor), want(kPerDivisor);
+    const std::vector<float> power(kPerDivisor, -0.0f);
+    for (double d : divisors) {
+      std::size_t i = 0;
+      for (double x : specials) a[i++] = x;
+      for (; i < kPerDivisor; ++i) {
+        const std::uint64_t r = rng();
+        // Exponent fields 23..2023: exponents -1000..1000.
+        const auto biased = static_cast<std::uint64_t>(23 + r % 2001);
+        // One draw in 32 is a subnormal (exponent field 0).
+        const std::uint64_t field = (r >> 11) % 32 == 0 ? 0 : biased;
+        a[i] = std::bit_cast<double>((rng() & 0x800FFFFFFFFFFFFFull) |
+                                     (field << 52));
+      }
+      const apps::RelaxModel k{1.0, -0.0, 1.0, d, 1.0};
+      kernel(row.data() + 1, a.data(), south.data(), power.data(), got.data(),
+             kPerDivisor, k.sdc, k.amb, k.rx, k.ry, k.rz);
+      relax_row_reference(row.data() + 1, a.data(), south.data(), power.data(),
+                          want.data(), kPerDivisor, k);
+      for (std::size_t j = 0; j < kPerDivisor; ++j) {
+        const double q = a[j] / d;
+        ASSERT_EQ(bits_of(got[j]), bits_of(want[j]))
+            << a[j] << " / " << d << ": got " << got[j] << " want " << q;
+        if (q != 0.0 && !std::isnan(q)) {
+          ASSERT_EQ(bits_of(got[j]), bits_of(q)) << a[j] << " / " << d;
+        }
+      }
+    }
+  }
+  if (!ran) GTEST_SKIP() << "no SIMD level supported on this host";
+}
 
 // --- end-to-end app byte-identity across ISA x threads -----------------------
 
