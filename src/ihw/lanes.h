@@ -18,11 +18,8 @@
 //   * The span kernels (batch.h) run the lanes over operand spans with the
 //     parameters hoisted out of the loop, so the compiler can if-convert and
 //     autovectorize them.
-//   * The hand-vectorized AVX2/AVX-512 kernels (simd/kernel_body.h) compute
-//     the same bits, and test_simd checks them against these lanes. The
-//     multiplier kernels follow the lanes op for op; the adder kernel
-//     computes the adder's bits with the integer align/normalize datapath,
-//     where the lane's core uses one exact add of the truncated operands.
+//   * The hand-vectorized AVX2/AVX-512 kernels (simd/kernel_body.h) follow
+//     the lanes op for op, and test_simd checks them against these lanes.
 //
 // The independent oracle is the structural datapath model in arith/datapath
 // (priority encoders, barrel shifters, width-masked adders, an array

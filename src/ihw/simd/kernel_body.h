@@ -2,23 +2,20 @@
 // The span kernels of the SIMD backends, written once (DESIGN.md §15).
 //
 // Kernels<T> is the whole datapath of every KernelTable entry, evaluated per
-// lane with selects in the lanes' precedence order (ihw/lanes.h). The
-// multiplier and SFU kernels follow their lanes op for op, so their bits
-// match by construction. The adder kernel keeps the integer TH datapath --
-// flush, compare-and-swap, clamped shift pair, leading-one normalize --
-// where the adder lane computes one exact add of the truncated operands:
-// the same bits by a different order of operations. tests/test_simd.cpp
-// enforces bit identity with the lanes input-exhaustively, for every unit
-// kernel. The relaxation row has no lane: it matches the divide loop of
-// apps::relax_row by Markstein's theorem, and test_simd checks it on every
-// row length up to 40 and on 10^7 fuzzed quotients.
+// lane with selects in the lanes' precedence order (ihw/lanes.h). Every unit
+// kernel -- the adder, the multipliers and the SFUs -- follows its lane op
+// for op, so their bits match by construction; tests/test_simd.cpp checks
+// bit identity with the lanes input-exhaustively. The relaxation row has no
+// lane: it matches the divide loop of apps::relax_row by Markstein's
+// theorem, and test_simd checks it on every row length up to 40 and on
+// 10^7 fuzzed quotients.
 // T is an ISA shim -- kernels_avx2.cpp, kernels_avx512.cpp -- that supplies
 // the lane vector V, the compare-result type M and about 25 always-inline
 // intrinsic wrappers:
 //
-//   load store set1 and_ or_ xor_ add sub srli slli srlv sllv min max
-//   eq gt mand mor mandnot sel zero_if add_carry ps_bits mul48 add_ps
-//   seg_dp, and kLanes (lanes per V)
+//   load store set1 and_ or_ xor_ add sub srli slli srlv sllv max abs
+//   eq gt mand mor mandnot none sel zero_if add_carry ps_bits mul48
+//   add_ps add_cut seg_dp, and kLanes (lanes per V)
 //
 // and, for the one double-precision kernel (relax_row_f64), the double lane
 // vector D, its compare result DM and a dozen wrappers:
@@ -195,66 +192,33 @@ struct Kernels {
 
   // --- ifp_add --------------------------------------------------------------
 
+  /// lanes::ifp_add_lane op for op, less the lane's clamp of the cut-mask
+  /// shift count to 31: a count of 31 or more needs d >= th + 8, and those
+  /// lanes take the `larger` select either way.
   static V ifp_add(V ab, V bb, int th) {
-    const V zero = T::set1(0);
+    const V zero = T::set1(0), expm = T::set1(kExpMask);
     const V signm = T::set1(kSignMask);
+    const V ea = T::and_(T::srli(ab, FB), expm);
+    const V eb = T::and_(T::srli(bb, FB), expm);
+    const V e = T::max(ea, eb);
+    const V ones = T::set1(~0u), base = T::add(e, T::set1(FB - th));
+    const V at = T::and_(ab, T::sllv(ones, T::max(T::sub(base, ea), zero)));
+    const V bt = T::and_(bb, T::sllv(ones, T::max(T::sub(base, eb), zero)));
+    V r = T::add_cut(at, bt);
+    r = T::sel(r, T::and_(r, signm),
+               T::eq(T::and_(r, T::set1(kInfBits)), zero));
+    r = T::sel(r, T::sel(bb, ab, T::gt(ea, eb)),
+               T::gt(T::abs(T::sub(ea, eb)), T::set1(th - 1)));
+    // The lane's zero, inf and NaN chain, only for a vector that has one.
+    const M az = T::eq(ea, zero), bz = T::eq(eb, zero);
+    if (T::none(T::mor(T::mor(az, bz), T::eq(e, expm)))) [[likely]]
+      return r;
     const Fields A = fields(ab), B = fields(bb);
-    const V fa = flushed(A), fb = flushed(B);
     const V sa = T::and_(ab, signm), sb = T::and_(bb, signm);
-
-    // Compare-and-swap so x is the larger magnitude (exponent field, then
-    // fraction field), exactly as the scalar lane orders it.
-    const M swap = T::mor(T::gt(B.e, A.e),
-                          T::mand(T::eq(B.e, A.e), T::gt(fb, fa)));
-    const V ex = T::sel(A.e, B.e, swap);
-    const V fx = T::sel(fa, fb, swap);
-    const V fy = T::sel(fb, fa, swap);
-    const V sx = T::sel(sa, sb, swap);
-    const V sy = T::sel(sb, sa, swap);
-    const V d = T::sub(ex, T::sel(B.e, A.e, swap));
-
-    // (TH+1)-bit alignment: a right/left shift pair with clamped counts
-    // (one side always zero).
-    const int drop = FB - th;
-    const V hidden = T::set1(kHidden);
-    const V sh = T::add(d, T::set1(drop));
-    const V sh31 = T::set1(31);
-    const V shpos = T::min(T::max(sh, zero), sh31);
-    const V shneg = T::min(T::max(T::sub(zero, sh), zero), sh31);
-    const V xaligned = T::slli(
-        T::srli(T::or_(hidden, fx), drop > 0 ? drop : 0), drop < 0 ? -drop : 0);
-    const V yaligned = T::sllv(T::srlv(T::or_(hidden, fy), shpos), shneg);
-    const V s = T::sel(T::sub(xaligned, yaligned), T::add(xaligned, yaligned),
-                       T::eq(sx, sy));
-
-    // Leading-one position p = bit_width(s|1) - 1: fill below the MSB,
-    // isolate it, and read its exponent off an exact power-of-two
-    // int->float convert.
-    V v = T::or_(s, T::set1(1));
-    v = T::or_(v, T::srli(v, 1));
-    v = T::or_(v, T::srli(v, 2));
-    v = T::or_(v, T::srli(v, 4));
-    v = T::or_(v, T::srli(v, 8));
-    v = T::or_(v, T::srli(v, 16));
-    const V msb = T::sub(v, T::srli(v, 1));
-    const V p = T::sub(T::srli(T::ps_bits(msb), FB), T::set1(kBias));
-
-    const V fbv = T::set1(FB);
-    const V lsh = T::max(T::sub(fbv, p), zero);
-    const V rsh = T::max(T::sub(p, fbv), zero);
-    const V frac = T::srlv(T::sllv(T::xor_(s, msb), lsh), rsh);
-    const V biased = T::add(ex, T::sub(p, T::set1(th)));
-    const V core = clamp_exp(
-        compose(sx, biased, T::and_(frac, T::set1(kFracMask))), biased, sx);
-
-    // Select chain, lowest to highest precedence (scalar lane order).
     const V qnan = T::set1(kQnanBits);
-    V r = T::sel(core, zero, T::eq(s, zero));
-    r = T::sel(r, T::or_(sx, T::or_(T::slli(ex, FB), fx)),
-               T::gt(d, T::set1(th - 1)));
-    r = T::sel(r, T::sel(ab, sa, A.is_zero), B.is_zero);
-    r = T::sel(r, T::sel(bb, sb, B.is_zero), A.is_zero);
-    r = T::sel(r, T::and_(sa, sb), T::mand(A.is_zero, B.is_zero));
+    r = T::sel(r, ab, bz);
+    r = T::sel(r, bb, az);
+    r = T::sel(r, T::and_(sa, sb), T::mand(az, bz));
     r = T::sel(r, bb, B.is_inf);
     r = T::sel(r, ab, A.is_inf);
     r = T::sel(r, qnan,

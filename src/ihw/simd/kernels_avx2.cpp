@@ -40,8 +40,8 @@ struct Avx2 {
   IHW_SHIM V slli(V v, int n) { return _mm256_slli_epi32(v, n); }
   IHW_SHIM V srlv(V v, V n) { return _mm256_srlv_epi32(v, n); }
   IHW_SHIM V sllv(V v, V n) { return _mm256_sllv_epi32(v, n); }
-  IHW_SHIM V min(V a, V b) { return _mm256_min_epi32(a, b); }
   IHW_SHIM V max(V a, V b) { return _mm256_max_epi32(a, b); }
+  IHW_SHIM V abs(V v) { return _mm256_abs_epi32(v); }
 
   IHW_SHIM M eq(V a, V b) { return _mm256_cmpeq_epi32(a, b); }
   IHW_SHIM M gt(V a, V b) { return _mm256_cmpgt_epi32(a, b); }
@@ -49,6 +49,7 @@ struct Avx2 {
   IHW_SHIM M mor(M a, M b) { return or_(a, b); }
   /// ~a & b.
   IHW_SHIM M mandnot(M a, M b) { return _mm256_andnot_si256(a, b); }
+  IHW_SHIM bool none(M m) { return _mm256_testz_si256(m, m); }
   /// m ? yes : no per lane. The body never passes an inverted compare: GCC 12
   /// at -O2 miscompiles blendv on ~cmpeq once AVX-512VL is also enabled.
   IHW_SHIM V sel(V no, V yes, M m) { return _mm256_blendv_epi8(no, yes, m); }
@@ -57,10 +58,24 @@ struct Avx2 {
   /// v + 1 in the lanes of m (a true lane is -1).
   IHW_SHIM V add_carry(V v, M m) { return sub(v, m); }
 
-  /// Bits of the int -> float conversion: exact for the powers of two the
-  /// adder's leading-one search feeds it.
+  /// Bits of the int -> float conversion, whose exponent field the Mitchell
+  /// cross term reads a leading one from.
   IHW_SHIM V ps_bits(V v) {
     return _mm256_castps_si256(_mm256_cvtepi32_ps(v));
+  }
+
+  /// The adder's cut operands added exactly in double, cut to 24 significant
+  /// bits (the low 29 cleared) and narrowed back to float, by 4-lane halves.
+  IHW_SHIM V add_cut(V a, V b) {
+    const auto half = [](__m128i x, __m128i y) {
+      const __m256d s = _mm256_add_pd(_mm256_cvtps_pd(_mm_castsi128_ps(x)),
+                                      _mm256_cvtps_pd(_mm_castsi128_ps(y)));
+      return _mm256_cvtpd_ps(_mm256_castsi256_pd(_mm256_and_si256(
+          _mm256_castpd_si256(s), _mm256_set1_epi64x(-(1ll << 29)))));
+    };
+    return _mm256_castps_si256(_mm256_set_m128(
+        half(_mm256_extracti128_si256(a, 1), _mm256_extracti128_si256(b, 1)),
+        half(_mm256_castsi256_si128(a), _mm256_castsi256_si128(b))));
   }
 
   /// 24x24 -> 48-bit significand product, normalized: shifted right by FB,

@@ -36,8 +36,8 @@ struct Avx512 {
   IHW_SHIM V slli(V v, int n) { return _mm512_slli_epi32(v, n); }
   IHW_SHIM V srlv(V v, V n) { return _mm512_srlv_epi32(v, n); }
   IHW_SHIM V sllv(V v, V n) { return _mm512_sllv_epi32(v, n); }
-  IHW_SHIM V min(V a, V b) { return _mm512_min_epi32(a, b); }
   IHW_SHIM V max(V a, V b) { return _mm512_max_epi32(a, b); }
+  IHW_SHIM V abs(V v) { return _mm512_abs_epi32(v); }
 
   IHW_SHIM M eq(V a, V b) { return _mm512_cmpeq_epi32_mask(a, b); }
   IHW_SHIM M gt(V a, V b) { return _mm512_cmpgt_epi32_mask(a, b); }
@@ -45,6 +45,7 @@ struct Avx512 {
   IHW_SHIM M mor(M a, M b) { return static_cast<M>(a | b); }
   /// ~a & b.
   IHW_SHIM M mandnot(M a, M b) { return static_cast<M>(~a & b); }
+  IHW_SHIM bool none(M m) { return m == 0; }
   /// m ? yes : no per lane.
   IHW_SHIM V sel(V no, V yes, M m) {
     return _mm512_mask_blend_epi32(m, no, yes);
@@ -58,10 +59,26 @@ struct Avx512 {
     return _mm512_mask_add_epi32(v, m, v, _mm512_set1_epi32(1));
   }
 
-  /// Bits of the int -> float conversion: exact for the powers of two the
-  /// adder's leading-one search feeds it.
+  /// Bits of the int -> float conversion, whose exponent field the Mitchell
+  /// cross term reads a leading one from.
   IHW_SHIM V ps_bits(V v) {
     return _mm512_castps_si512(_mm512_cvtepi32_ps(v));
+  }
+
+  /// The adder's cut operands added exactly in double, cut to 24 significant
+  /// bits (the low 29 cleared) and narrowed back to float, by 8-lane halves.
+  IHW_SHIM V add_cut(V a, V b) {
+    const auto half = [](__m256i x, __m256i y) {
+      const __m512d s = _mm512_add_pd(_mm512_cvtps_pd(_mm256_castsi256_ps(x)),
+                                      _mm512_cvtps_pd(_mm256_castsi256_ps(y)));
+      return _mm512_cvtpd_ps(_mm512_castsi512_pd(_mm512_and_si512(
+          _mm512_castpd_si512(s), _mm512_set1_epi64(-(1ll << 29)))));
+    };
+    return _mm512_castps_si512(_mm512_insertf32x8(
+        _mm512_castps256_ps512(
+            half(_mm512_castsi512_si256(a), _mm512_castsi512_si256(b))),
+        half(_mm512_extracti64x4_epi64(a, 1), _mm512_extracti64x4_epi64(b, 1)),
+        1));
   }
 
   /// 24x24 -> 48-bit significand product, normalized: shifted right by FB,

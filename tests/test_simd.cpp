@@ -17,8 +17,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/hotspot.h"
@@ -27,6 +29,7 @@
 #include "gpu/context.h"
 #include "ihw/batch.h"
 #include "ihw/dispatch.h"
+#include "ihw/ifp_add.h"
 #include "ihw/simd/isa.h"
 #include "runtime/parallel.h"
 
@@ -62,17 +65,18 @@ void expect_span_matches(const char* what, const char* isa,
         << " want=" << fp::to_bits(want[i]) << ")";
 }
 
-/// Runs every dispatched float unit once per (a, b) operand set under
-/// `level`, with forced-scalar reference runs of the same span wrappers.
-/// Exercises the whole wrapper (clamping, keep-mask computation, dispatch)
-/// rather than the lane in isolation.
-void cross_check_units(IsaLevel level, const std::vector<float>& a,
-                       const std::vector<float>& b) {
-  const char* isa = simd::isa_name(level);
-  const std::size_t n = a.size();
-  std::vector<float> got(n), want(n);
+/// check(what, run): `run(out)` fills an output span once under the
+/// forced-scalar table and once under `level`, and the two must match bit
+/// for bit (a and b label a mismatch).
+struct LevelCheck {
+  IsaLevel level;
+  const std::vector<float>& a;
+  const std::vector<float>& b;
+  std::vector<float> got = std::vector<float>(a.size());
+  std::vector<float> want = std::vector<float>(a.size());
 
-  const auto check = [&](const char* what, auto&& run) {
+  template <class Run>
+  void operator()(const char* what, Run&& run) {
     {
       ScopedIsa scalar(IsaLevel::kScalar);
       run(want.data());
@@ -82,9 +86,18 @@ void cross_check_units(IsaLevel level, const std::vector<float>& a,
       ASSERT_EQ(simd::isa_active(), level);
       run(got.data());
     }
-    expect_span_matches(what, isa, got, want, a, b);
-    if (::testing::Test::HasFatalFailure()) return;
-  };
+    expect_span_matches(what, simd::isa_name(level), got, want, a, b);
+  }
+};
+
+/// Runs every dispatched float unit once per (a, b) operand set under
+/// `level`, with forced-scalar reference runs of the same span wrappers.
+/// Exercises the whole wrapper (clamping, keep-mask computation, dispatch)
+/// rather than the lane in isolation.
+void cross_check_units(IsaLevel level, const std::vector<float>& a,
+                       const std::vector<float>& b) {
+  const std::size_t n = a.size();
+  LevelCheck check{level, a, b};
 
   for (int th : {1, 8, 23, 27}) {
     check("ifp_add_n", [&](float* out) {
@@ -243,6 +256,134 @@ void run_fuzz(IsaLevel level) {
 
 TEST(SimdFuzz, Avx2) { run_fuzz(IsaLevel::kAvx2); }
 TEST(SimdFuzz, Avx512) { run_fuzz(IsaLevel::kAvx512); }
+
+// --- the adder kernel, one lane at a time -----------------------------------
+
+/// Lanes in the widest vector (AVX-512); an AVX2 vector is half a block.
+constexpr std::size_t kBlock = 16;
+
+/// Random normal float: the exponent field drawn from [lo, hi], any sign and
+/// fraction.
+float random_normal(std::mt19937_64& rng, std::uint32_t lo, std::uint32_t hi) {
+  const auto e = lo + static_cast<std::uint32_t>(rng() % (hi - lo + 1));
+  return fp::from_bits<float>((static_cast<std::uint32_t>(rng()) &
+                               0x807FFFFFu) | (e << 23));
+}
+
+/// Each (a, b) pair alone in a kBlock-lane block, once at every lane
+/// position: the other lanes hold random normal pairs, so every vector of
+/// either width has at most that one lane off the adder's normal path.
+std::pair<std::vector<float>, std::vector<float>> one_pair_per_block(
+    const std::vector<std::pair<float, float>>& pairs, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::pair<std::vector<float>, std::vector<float>> spans;
+  for (const auto& [x, y] : pairs) {
+    for (std::size_t k = 0; k < kBlock; ++k) {
+      for (std::size_t i = 0; i < kBlock; ++i) {
+        spans.first.push_back(i == k ? x : random_normal(rng, 1, 254));
+        spans.second.push_back(i == k ? y : random_normal(rng, 1, 254));
+      }
+    }
+  }
+  return spans;
+}
+
+/// ifp_add_n, ifp_sub_n and ifp_mac_n (a * 1 + b: the product is a with its
+/// subnormals flushed) under every supported SIMD level, each against the
+/// forced-scalar lane loop.
+void cross_check_adder(const std::vector<float>& a,
+                       const std::vector<float>& b,
+                       std::initializer_list<int> ths) {
+  const std::size_t n = a.size();
+  const std::vector<float> ones(n, 1.0f);
+  bool ran = false;
+  for (IsaLevel level : kVectorLevels) {
+    if (!simd::isa_supported(level)) continue;
+    ran = true;
+    LevelCheck check{level, a, b};
+    for (int th : ths) {
+      check("ifp_add_n", [&](float* out) {
+        batch::ifp_add_n(a.data(), b.data(), out, n, th);
+      });
+      check("ifp_sub_n", [&](float* out) {
+        batch::ifp_sub_n(a.data(), b.data(), out, n, th);
+      });
+      check("ifp_mac_n", [&](float* out) {
+        batch::ifp_mac_n(a.data(), ones.data(), b.data(), out, n, th, 0);
+      });
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  if (!ran) GTEST_SKIP() << "no SIMD level supported on this host";
+}
+
+/// Every class of a against every class of b -- +-0, +-subnormal, +-inf,
+/// quiet and signalling NaN, and normals, the tiny ones (exponent fields
+/// 1..30) among them, which the TH datapath would add to a zero or a
+/// subnormal instead of passing through -- alone in a vector at every lane
+/// position. Pins the whole-vector early-out of the special-value chain:
+/// a vector that skipped it would return the datapath's bits in that lane.
+TEST(SimdAdder, OneSpecialLanePerVector) {
+  std::mt19937_64 rng(7);
+  const auto bits = [](std::uint32_t u) { return fp::from_bits<float>(u); };
+  std::vector<float> cls = {bits(0), bits(0x80000000u), bits(0x00000001u),
+                            bits(0x80400000u), bits(0x007FFFFFu),
+                            bits(0x7F800000u), bits(0xFF800000u),
+                            bits(0x7FC00000u), bits(0xFFC00001u),
+                            bits(0x7F800001u), bits(0xFFA00000u)};
+  const std::size_t n_special = cls.size();
+  for (int i = 0; i < 6; ++i) cls.push_back(random_normal(rng, 1, 30));
+  for (int i = 0; i < 2; ++i) cls.push_back(random_normal(rng, 1, 254));
+  std::vector<std::pair<float, float>> pairs;
+  for (std::size_t i = 0; i < cls.size(); ++i)
+    for (std::size_t j = 0; j < cls.size(); ++j)
+      if (i < n_special || j < n_special) pairs.emplace_back(cls[i], cls[j]);
+  const auto [a, b] = one_pair_per_block(pairs, 8);
+  cross_check_adder(a, b, {1, 8, 23, 24, 27});
+}
+
+/// Operand pairs at the edges of the narrowing step, each alone among
+/// normal lanes at every lane position, so they run on the early-out path:
+/// a cut sum truncated to just below 2^128 and one that reaches 2^128,
+/// exact cancellation, sums below 2^-126, and equal or near exponents at
+/// th = 24..27, where the cut's shift count is clamped at zero. The scalar
+/// unit's value is pinned too where the case has one.
+TEST(SimdAdder, NarrowingBoundaries) {
+  const auto bits = [](std::uint32_t u) { return fp::from_bits<float>(u); };
+  const float max = bits(0x7F7FFFFFu), inf = bits(0x7F800000u);
+  // (2^24 - 1) 2^104 + 2^103 cuts to max at th = 27; round-to-nearest
+  // would give inf.
+  EXPECT_TRUE(same_bits(ifp_add(max, 0x1p103f, 27), max));
+  EXPECT_TRUE(same_bits(ifp_add(-max, -0x1p103f, 27), -max));
+  EXPECT_TRUE(same_bits(ifp_add(max, 0x1p104f, 27), inf));
+  EXPECT_TRUE(same_bits(ifp_add(-0x1.8p127f, -0x1.8p127f, 8), -inf));
+  EXPECT_TRUE(same_bits(ifp_add(-1.75f, 1.75f, 8), 0.0f));
+  EXPECT_TRUE(same_bits(ifp_add(0x1.8p-126f, -0x1.4p-126f, 23), 0.0f));
+  EXPECT_TRUE(same_bits(ifp_add(-0x1.8p-126f, 0x1.4p-126f, 23), -0.0f));
+
+  std::mt19937_64 rng(11);
+  std::vector<std::pair<float, float>> pairs = {
+      {max, 0x1p103f},      {-max, -0x1p103f},   {max, 0x1p104f},
+      {-max, -0x1p104f},    {max, max},          {0x1.8p127f, 0x1.8p127f},
+      {0x1p127f, 0x1.fffffep126f}, {0x1p-126f, -0x1p-126f},
+      {0x1.8p-126f, -0x1.4p-126f}, {-0x1.8p-126f, 0x1.4p-126f},
+      {0x1.000002p-126f, -0x1p-126f}, {-0x1p-125f, 0x1.fffffep-126f}};
+  for (int i = 0; i < 64; ++i) {
+    // Exact cancellation, every exponent field.
+    const float x = random_normal(rng, 1, 254);
+    pairs.emplace_back(x, -x);
+    // Sums under 2^-126: two smallest-field normals of opposite signs.
+    const float y = random_normal(rng, 1, 1);
+    pairs.emplace_back(y, std::copysign(random_normal(rng, 1, 1), -y));
+    // Equal exponent fields, then fields up to 3 apart.
+    const auto e = static_cast<std::uint32_t>(1 + rng() % 250);
+    pairs.emplace_back(random_normal(rng, e, e), random_normal(rng, e, e));
+    pairs.emplace_back(random_normal(rng, e, e),
+                       random_normal(rng, e + 1, e + 3));
+  }
+  const auto [a, b] = one_pair_per_block(pairs, 12);
+  cross_check_adder(a, b, {1, 8, 23, 24, 25, 26, 27});
+}
 
 // --- the rsqrt segment over every fraction ----------------------------------
 
