@@ -266,14 +266,6 @@ IhwConfig add_only_config() {
   return cfg;
 }
 
-/// The fused multiply-accumulate of the GEMM accumulator: ifp_mul into the
-/// TH adder.
-IhwConfig mac_config() {
-  IhwConfig cfg = add_only_config();
-  cfg.mul_mode = MulMode::ImpreciseSimple;
-  return cfg;
-}
-
 BENCHMARK_CAPTURE(BM_SpanAddScalar, precise, IhwConfig::precise());
 BENCHMARK_CAPTURE(BM_SpanAddBatch, precise, IhwConfig::precise());
 BENCHMARK_CAPTURE(BM_SpanAddScalar, ifp, add_only_config());
@@ -351,24 +343,18 @@ BENCHMARK(BM_QmcCharBatch);
 // dispatch on this host -- the number tools/check_bench_regression.py --isa
 // floors per level (BENCH_pr8.json).
 
-enum class SpanOp { Mul, Add, Mac };
-
-void span_isa_row(benchmark::State& state, const IhwConfig& cfg, SpanOp op,
+void span_isa_row(benchmark::State& state, const IhwConfig& cfg, bool add,
                   simd::IsaLevel level) {
   simd::ScopedIsa forced(level);
-  const bool mul = op == SpanOp::Mul;
-  const auto a = inputs(kSpan, mul ? 11 : 13), b = inputs(kSpan, mul ? 12 : 14);
-  const auto c = inputs(kSpan, 16);
+  const auto a = inputs(kSpan, add ? 13 : 11), b = inputs(kSpan, add ? 14 : 12);
   std::vector<float> out(kSpan);
   gpu::FpContext ctx(cfg);
   gpu::ScopedContext scope(ctx);
   for (auto _ : state) {
-    if (op == SpanOp::Mul)
-      gpu::batch_mul(a.data(), b.data(), out.data(), kSpan);
-    else if (op == SpanOp::Add)
+    if (add)
       gpu::batch_add(a.data(), b.data(), out.data(), kSpan);
     else
-      gpu::batch_mac(a.data(), b.data(), c.data(), out.data(), kSpan);
+      gpu::batch_mul(a.data(), b.data(), out.data(), kSpan);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -433,24 +419,18 @@ void register_isa_rows() {
     const std::string suffix = std::string("/isa:") + simd::isa_name(level);
     benchmark::RegisterBenchmark(
         ("BM_SpanMulBatch/ifp" + suffix).c_str(), span_isa_row,
-        IhwConfig::mul_only(MulMode::ImpreciseSimple, 0), SpanOp::Mul,
-        level);
+        IhwConfig::mul_only(MulMode::ImpreciseSimple, 0), false, level);
     benchmark::RegisterBenchmark(
         ("BM_SpanMulBatch/acfp_log" + suffix).c_str(), span_isa_row,
-        IhwConfig::mul_only(MulMode::MitchellLog, 0), SpanOp::Mul, level);
+        IhwConfig::mul_only(MulMode::MitchellLog, 0), false, level);
     benchmark::RegisterBenchmark(
         ("BM_SpanMulBatch/acfp_full" + suffix).c_str(), span_isa_row,
-        IhwConfig::mul_only(MulMode::MitchellFull, 0), SpanOp::Mul, level);
+        IhwConfig::mul_only(MulMode::MitchellFull, 0), false, level);
     benchmark::RegisterBenchmark(
         ("BM_SpanMulBatch/trunc" + suffix).c_str(), span_isa_row,
-        IhwConfig::mul_only(MulMode::BitTruncated, 12), SpanOp::Mul,
-        level);
+        IhwConfig::mul_only(MulMode::BitTruncated, 12), false, level);
     benchmark::RegisterBenchmark(("BM_SpanAddBatch/ifp" + suffix).c_str(),
-                                 span_isa_row, add_only_config(), SpanOp::Add,
-                                 level);
-    benchmark::RegisterBenchmark(("BM_SpanMacBatch/ifp" + suffix).c_str(),
-                                 span_isa_row, mac_config(), SpanOp::Mac,
-                                 level);
+                                 span_isa_row, add_only_config(), true, level);
     benchmark::RegisterBenchmark(("BM_SpanRcpBatch/sfu" + suffix).c_str(),
                                  span_sfu_isa_row, &IhwConfig::rcp_enabled,
                                  &gpu::batch_rcp<float>, level);
