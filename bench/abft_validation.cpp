@@ -17,7 +17,7 @@
 //      nonfinite counter) and recovery must return a fully finite result.
 //
 // tools/check_bench_regression.py --abft gates the JSON this writes
-// (BENCH_pr10.json in CI): detections >= 1, silent_wrong == 0, fault-free
+// (bench_abft_gate.json in CI): detections >= 1, silent_wrong == 0, fault-free
 // flags == 0, nonfinite detections >= 1.
 //
 //   --size=N      injected-grid GEMM extent, M = N = K (default 64)

@@ -4,7 +4,7 @@
 // identical numerics -- the bit-identity contract means the speedup is pure
 // engineering, not a precision trade. tools/check_bench_regression.py --gemm
 // floors the BM_GemmTiled/BM_GemmNaive ratio (>= 2x) and the per-ISA tiled
-// rows against the scalar-backend tiled row (BENCH_pr9.json in CI).
+// rows against the scalar-backend tiled row (bench_gemm_gate.json in CI).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -63,13 +63,8 @@ class GuardedDispatch {
   /// its mul and add stages as their own units.
   template <Op O, typename T, typename... Ts>
   T op(T x, Ts... xs) {
-    if (!screened_) return base_.template op<O>(x, xs...);
-    if constexpr (O == Op::Mac) return mac(x, xs...);
-    else {
-      if constexpr (O == Op::Fma)
-        if (!config().fma_enabled) return unfused(x, xs...);
-      return screen<O>(x, xs...);
-    }
+    if (!screened_) [[likely]] return base_.template op<O>(x, xs...);
+    return screened_op<O>(x, xs...);
   }
 
   /// The span form. With no faults and no guard (the common case) a span
@@ -99,6 +94,18 @@ class GuardedDispatch {
 
  private:
   void refresh() { screened_ = config().screened(); }
+
+  /// op<O> with faults or the guard active, out of line so that every
+  /// inlined op site keeps only the unscreened branch.
+  template <Op O, typename T, typename... Ts>
+  [[gnu::noinline]] T screened_op(T x, Ts... xs) {
+    if constexpr (O == Op::Mac) return mac(x, xs...);
+    else {
+      if constexpr (O == Op::Fma)
+        if (!config().fma_enabled) return unfused(x, xs...);
+      return screen<O>(x, xs...);
+    }
+  }
 
   template <typename T>
   T unfused(T a, T b, T c) { return op<Op::Add>(op<Op::Mul>(a, b), c); }

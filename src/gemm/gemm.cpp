@@ -1,11 +1,12 @@
 // Tile-GEMM engine (DESIGN.md §16). Two execution paths under one
 // numerical contract:
 //
-//  - run(), unscreened: BLIS-style jc(nc) -> kc -> rows blocking per
-//    row-block chunk, B panels packed into 64-byte-aligned SoA scratch, the
-//    A element broadcast into a span, and the whole inner product issued as
-//    fused multiply-accumulate spans (batch::*_mac_n -> AVX2/AVX-512
-//    backends). Row blocks parallelize over runtime::batch_apply.
+//  - run(), unscreened: BLIS-style jc(nc) -> kc blocking per row-block
+//    chunk, each (kc x nc) B panel packed into 64-byte-aligned scratch, and
+//    one batch::mac_panel call per panel for the whole row block: the
+//    AVX2/AVX-512 panel kernel keeps a few C rows in registers across the
+//    panel's k loop, for every multiplier and accumulator policy. Row blocks
+//    parallelize over runtime::batch_apply.
 //  - run(), screened (faults or guard active), and reference(): the
 //    canonical per-element schedule -- row epoch, j outer, k ascending --
 //    through GuardedDispatch::op<Op::Mul>, so every multiply consumes the
@@ -18,14 +19,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 
 #include "common/aligned.h"
 #include "gemm/abft.h"
 #include "gpu/context.h"
 #include "gpu/epoch.h"
 #include "ihw/batch.h"
-#include "ihw/dispatch.h"
 #include "ihw/ifp_add.h"
 #include "ihw/op.h"
 #include "runtime/parallel.h"
@@ -73,81 +72,39 @@ void canonical_rows(const float* A, const float* B, float* C, std::size_t N,
   }
 }
 
-/// The blocked fast path for rows [r0, r1): pack, broadcast, fused spans.
+/// The blocked fast path for rows [r0, r1): pack each B panel, then one
+/// register-blocked panel kernel call runs the whole row block through it.
 void row_block(const float* A, const float* B, float* C, std::size_t N,
                std::size_t K, const GemmConfig& g, const IhwConfig& icfg,
                std::size_t kc, std::size_t nc, std::uint64_t r0,
                std::uint64_t r1) {
-  thread_local common::AlignedVector<float> bpanel, abcast, ptmp;
-  thread_local common::AlignedVector<double> wacc;
-
-  const bool wide = g.accum == AccumMode::kWideFp64;
-  const std::size_t blk =
-      static_cast<std::size_t>(std::max(1, g.accum_block));
-  // The fused kernels read th < 1 as a precise accumulate, so a TH below
-  // the adder's floor clamps to 1 here, as ifp_add does on the reference.
-  const int th_eff =
-      g.accum == AccumMode::kIfpAdd ? std::max(g.accum_th, 1) : 0;
-  const int tr_eff = g.accum == AccumMode::kFp32Trunc
-                         ? std::min(std::max(g.accum_trunc, 0), 22)
-                         : 0;
-  const FpDispatch disp(icfg);
+  thread_local common::AlignedVector<float> bpanel;
+  // The panel reads th < 1 as a precise accumulate, so a TH below the
+  // adder's floor clamps to 1 here, as ifp_add does on the reference.
+  batch::MacChain chain;
+  chain.mul = icfg.mul_mode;
+  chain.mul_trunc = icfg.mul_trunc;
+  if (g.accum == AccumMode::kIfpAdd) chain.th = std::max(g.accum_th, 1);
+  if (g.accum == AccumMode::kFp32Trunc) chain.acc_trunc = g.accum_trunc;
+  if (g.accum == AccumMode::kWideFp64)
+    chain.wide_block = static_cast<std::size_t>(std::max(1, g.accum_block));
+  const std::size_t rows = r1 - r0;
 
   for (std::size_t jc = 0; jc < N; jc += nc) {
     const std::size_t jn = std::min(nc, N - jc);
-    if (abcast.size() < jn) abcast.resize(jn);
-    if (ptmp.size() < jn) ptmp.resize(jn);
-    if (wide && wacc.size() < jn) wacc.resize(jn);
+    float* cblk = C + r0 * N + jc;
+    for (std::size_t i = 0; i < rows; ++i) std::fill_n(cblk + i * N, jn, 0.0f);
     for (std::size_t k0 = 0; k0 < K; k0 += kc) {
       const std::size_t kn = std::min(kc, K - k0);
-      // Pack the (kn x jn) B panel: contiguous SoA rows, one cache-line
-      // aligned slab, so every mac span streams sequentially.
+      // Pack the (kn x jn) B panel: contiguous rows in one cache-line
+      // aligned slab, so the kernel streams it sequentially.
       if (bpanel.size() < kn * jn) bpanel.resize(kn * jn);
       for (std::size_t kk = 0; kk < kn; ++kk)
         std::copy_n(B + (k0 + kk) * N + jc, jn, bpanel.data() + kk * jn);
-
-      for (std::uint64_t i = r0; i < r1; ++i) {
-        const float* arow = A + i * K + k0;
-        float* crow = C + i * N + jc;
-        if (k0 == 0) std::fill_n(crow, jn, 0.0f);
-        if (!wide) {
-          for (std::size_t kk = 0; kk < kn; ++kk) {
-            std::fill_n(abcast.data(), jn, arow[kk]);
-            const float* brow = bpanel.data() + kk * jn;
-            if (OpRow<Op::Mac>::fused_n(icfg, crow, jn, abcast.data(), brow,
-                                        crow, th_eff, tr_eff))
-              continue;
-            // No fused kernel for the precise multiply array: two-pass
-            // (exact product span, then the policy accumulator).
-            for (std::size_t j = 0; j < jn; ++j) ptmp[j] = arow[kk] * brow[j];
-            if (g.accum == AccumMode::kIfpAdd) {
-              batch::ifp_add_n(ptmp.data(), crow, crow, jn, th_eff);
-            } else {
-              const std::uint32_t keep = trunc_keep(tr_eff);
-              for (std::size_t j = 0; j < jn; ++j)
-                crow[j] = canon_add(ptmp[j], crow[j], keep);
-            }
-          }
-        } else {
-          // Wide accumulate: kc is a multiple of accum_block, so block
-          // boundaries land on the same global k positions as the
-          // reference chain. Products of one block sum into fp64 lanes,
-          // then fold into the fp32 C row.
-          for (std::size_t kb = 0; kb < kn; kb += blk) {
-            const std::size_t bn = std::min(blk, kn - kb);
-            std::fill_n(wacc.data(), jn, 0.0);
-            for (std::size_t kk = kb; kk < kb + bn; ++kk) {
-              std::fill_n(abcast.data(), jn, arow[kk]);
-              disp.mul_n(abcast.data(), bpanel.data() + kk * jn, ptmp.data(),
-                         jn);
-              for (std::size_t j = 0; j < jn; ++j)
-                wacc[j] += static_cast<double>(ptmp[j]);
-            }
-            for (std::size_t j = 0; j < jn; ++j)
-              crow[j] = canon_add(static_cast<float>(wacc[j]), crow[j], ~0u);
-          }
-        }
-      }
+      // kc is a multiple of a wide accumulator's block, so every panel
+      // starts on a block boundary of the reference chain.
+      batch::mac_panel(A + r0 * K + k0, K, bpanel.data(), cblk, N, rows, kn,
+                       jn, chain);
     }
   }
 }

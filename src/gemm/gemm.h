@@ -1,11 +1,11 @@
 #pragma once
-// Batched tile-GEMM on the imprecise span kernels (DESIGN.md §16): the
+// Batched tile-GEMM on the imprecise SIMD kernels (DESIGN.md §16): the
 // tensor-core-style matrix unit the 2014 paper predates. The multiply array
 // is whatever the ambient gpu::FpContext configures (precise, ifp_mul,
-// Mitchell, bit-truncated -- the Table 1 datapaths through the fused
-// *_mac_n span kernels and their AVX2/AVX-512 backends), while the
-// accumulator is a property of the matrix unit itself, selected per call by
-// GemmConfig::accum:
+// Mitchell, bit-truncated -- the Table 1 datapaths through the
+// register-blocked batch::mac_panel kernel and its AVX2/AVX-512 backends),
+// while the accumulator is a property of the matrix unit itself, selected
+// per call by GemmConfig::accum:
 //
 //   kFp32      -- full-width fp32 accumulate, round-to-nearest.
 //   kFp32Trunc -- fp32 accumulate with `accum_trunc` result LSBs dropped

@@ -220,6 +220,139 @@ void trunc_mac_n(const T* a, const T* b, const T* c, T* out, std::size_t n,
   }
 }
 
+// --- GEMM panel ------------------------------------------------------------
+
+/// The accumulation chain of a GEMM panel (DESIGN.md §16): the multiplier
+/// datapath and its truncation, then the accumulator -- the TH-adder when
+/// th >= 1, else a precise add dropping `acc_trunc` result LSBs, both as in
+/// the fused mac spans -- or, when wide_block > 0, the wide accumulator:
+/// products sum exactly in fp64 for wide_block steps, then round and fold
+/// into c through the precise canonicalizing add.
+struct MacChain {
+  MulMode mul = MulMode::Precise;
+  int mul_trunc = 0;
+  int th = 0;
+  int acc_trunc = 0;
+  std::size_t wide_block = 0;
+};
+
+namespace detail {
+
+/// The lane loop of mac_panel: row by row, k ascending, each step one pass
+/// of c = acc(mul(a, b), c) over the row's columns.
+template <typename T, class Mul, class Acc>
+void mac_panel_lanes(const T* a, std::size_t lda, const T* b, T* c,
+                     std::size_t ldc, std::size_t m, std::size_t kn,
+                     std::size_t jn, Mul mul, Acc acc) {
+  for (std::size_t r = 0; r < m; ++r) {
+    T* crow = c + r * ldc;
+    for (std::size_t k = 0; k < kn; ++k) {
+      const fp::BitsOf<T> ab = fp::to_bits(a[r * lda + k]);
+      const T* brow = b + k * jn;
+      for (std::size_t j = 0; j < jn; ++j)
+        crow[j] = fp::from_bits<T>(
+            acc(mul(ab, fp::to_bits(brow[j])), fp::to_bits(crow[j])));
+    }
+  }
+}
+
+/// The wide accumulator's lane loop, on column strips of a fixed width so
+/// that the fp64 sums fit on the stack.
+template <typename T, class Mul>
+void mac_panel_wide_lanes(const T* a, std::size_t lda, const T* b, T* c,
+                          std::size_t ldc, std::size_t m, std::size_t kn,
+                          std::size_t jn, std::size_t blk, Mul mul) {
+  using B = fp::BitsOf<T>;
+  constexpr std::size_t kStrip = 64;
+  for (std::size_t r = 0; r < m; ++r) {
+    T* crow = c + r * ldc;
+    for (std::size_t j0 = 0; j0 < jn; j0 += kStrip) {
+      const std::size_t w = jn - j0 < kStrip ? jn - j0 : kStrip;
+      for (std::size_t kb = 0; kb < kn; kb += blk) {
+        const std::size_t ke = kn - kb < blk ? kn : kb + blk;
+        double sum[kStrip] = {};
+        for (std::size_t k = kb; k < ke; ++k) {
+          const B ab = fp::to_bits(a[r * lda + k]);
+          const T* brow = b + k * jn + j0;
+          for (std::size_t j = 0; j < w; ++j)
+            sum[j] += static_cast<double>(
+                fp::from_bits<T>(mul(ab, fp::to_bits(brow[j]))));
+        }
+        for (std::size_t j = 0; j < w; ++j)
+          crow[j0 + j] = fp::from_bits<T>(
+              acc_lane<T>(fp::to_bits(static_cast<T>(sum[j])),
+                          fp::to_bits(crow[j0 + j]), 0, ~B{0}));
+      }
+    }
+  }
+}
+
+inline simd::PanelMul panel_mul(MulMode m) {
+  switch (m) {
+    case MulMode::ImpreciseSimple: return simd::PanelMul::kIfp;
+    case MulMode::MitchellLog: return simd::PanelMul::kAcfpLog;
+    case MulMode::MitchellFull: return simd::PanelMul::kAcfpFull;
+    case MulMode::BitTruncated: return simd::PanelMul::kTrunc;
+    case MulMode::Precise: break;
+  }
+  return simd::PanelMul::kPrecise;
+}
+
+}  // namespace detail
+
+/// For r < m and j < jn: c[r*ldc + j] = acc(mul(a[r*lda + k], b[k*jn + j]),
+/// c[r*ldc + j]) for k = 0 .. kn-1 in ascending order -- the GEMM inner
+/// kernel over a packed (kn x jn) B panel, C updated in place. A wide chain
+/// must start on a block boundary (the panel's end always folds).
+template <typename T>
+void mac_panel(const T* a, std::size_t lda, const T* b, T* c, std::size_t ldc,
+               std::size_t m, std::size_t kn, std::size_t jn,
+               const MacChain& ch) {
+  int th = ch.th, acc_trunc = ch.acc_trunc;
+  const fp::BitsOf<T> acc_keep = mac_clamp<T>(&th, &acc_trunc);
+  const fp::BitsOf<T> keep = lanes::frac_keep<T>(ch.mul_trunc);
+  if constexpr (std::is_same_v<T, float>) {
+    if (auto* k = simd::kernels().mac_panel_f32)
+      return k(a, lda, b, c, ldc, m, kn, jn,
+               {detail::panel_mul(ch.mul), keep, th, acc_keep, ch.wide_block});
+  }
+  using B = fp::BitsOf<T>;
+  // The accumulator is a compile-time choice, so the lane loops vectorize.
+  const auto run = [&](auto mul) {
+    if (ch.wide_block != 0)
+      return detail::mac_panel_wide_lanes<T>(a, lda, b, c, ldc, m, kn, jn,
+                                             ch.wide_block, mul);
+    if (th >= 1)
+      return detail::mac_panel_lanes<T>(
+          a, lda, b, c, ldc, m, kn, jn, mul,
+          [th](B p, B x) { return lanes::ifp_add_lane<T>(p, x, th); });
+    detail::mac_panel_lanes<T>(a, lda, b, c, ldc, m, kn, jn, mul,
+                               [acc_keep](B p, B x) {
+                                 return detail::acc_lane<T>(p, x, 0, acc_keep);
+                               });
+  };
+  switch (ch.mul) {
+    case MulMode::ImpreciseSimple:
+      return run([](B x, B y) { return lanes::ifp_mul_lane<T>(x, y); });
+    case MulMode::MitchellLog:
+      return run([keep](B x, B y) {
+        return lanes::acfp_log_lane<T>(x, y, keep);
+      });
+    case MulMode::MitchellFull:
+      return run([keep](B x, B y) {
+        return lanes::acfp_full_lane<T>(x, y, keep);
+      });
+    case MulMode::BitTruncated:
+      return run([keep](B x, B y) {
+        return lanes::trunc_mul_lane<T>(x, y, keep);
+      });
+    case MulMode::Precise: break;
+  }
+  run([](B x, B y) {
+    return fp::to_bits(fp::from_bits<T>(x) * fp::from_bits<T>(y));
+  });
+}
+
 // --- SFU / division spans (scalar unit per element, hoisted dispatch) -------
 
 template <typename T>

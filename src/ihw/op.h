@@ -184,28 +184,16 @@ struct OpRow<Op::Mac> {
   }
   template <typename T>
   static void imprecise_n(Cfg g, T* o, std::size_t n, const T* a, const T* b, const T* c) {
-    fused_n(g, o, n, a, b, c, add_th(g), 0);
-  }
-  /// The fused kernel of g's multiplier with the accumulator of
-  /// batch::detail::acc_lane (th < 1: a precise add that drops `at` result
-  /// LSBs). False, with nothing written, for the precise multiplier, which
-  /// has no fused kernel.
-  template <typename T>
-  static bool fused_n(Cfg g, T* o, std::size_t n, const T* a, const T* b, const T* c,
-                      int th, int at) {
-    const int tr = g.mul_trunc;
+    const int tr = g.mul_trunc, th = add_th(g);
     switch (g.mul_mode) {
-      case MulMode::ImpreciseSimple: batch::ifp_mac_n(a, b, c, o, n, th, at); break;
+      case MulMode::ImpreciseSimple: return batch::ifp_mac_n(a, b, c, o, n, th);
       case MulMode::MitchellLog:
-        batch::acfp_mac_n(a, b, c, o, n, AcfpPath::Log, tr, th, at);
-        break;
+        return batch::acfp_mac_n(a, b, c, o, n, AcfpPath::Log, tr, th);
       case MulMode::MitchellFull:
-        batch::acfp_mac_n(a, b, c, o, n, AcfpPath::Full, tr, th, at);
-        break;
-      case MulMode::BitTruncated: batch::trunc_mac_n(a, b, c, o, n, tr, th, at); break;
-      case MulMode::Precise: return false;
+        return batch::acfp_mac_n(a, b, c, o, n, AcfpPath::Full, tr, th);
+      case MulMode::BitTruncated: return batch::trunc_mac_n(a, b, c, o, n, tr, th);
+      case MulMode::Precise: break;  // not enabled: the Mac row never runs it
     }
-    return true;
   }
 };
 

@@ -44,6 +44,25 @@ namespace ihw::simd {
 /// Backend levels, widest last.
 enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
+/// Multiplier datapath of a mac_panel_f32 chain.
+enum class PanelMul : int { kPrecise, kIfp, kAcfpLog, kAcfpFull, kTrunc };
+
+/// The accumulation chain of one mac_panel_f32 call, resolved as for the
+/// *_mac_f32 entries: `keep` is the multiplier's fraction keep-mask, `th` is
+/// 0 (precise accumulate masked by `acc_keep`) or pre-clamped to
+/// [1, frac_bits+4] (TH-adder accumulate). A nonzero `wide_block` selects the
+/// wide accumulator instead: products sum exactly into fp64 for wide_block
+/// steps, and at the end of each block and of the panel the sum rounds to
+/// float and folds into c through the precise canonicalizing add, so a panel
+/// must start on a block boundary.
+struct PanelChain {
+  PanelMul mul = PanelMul::kPrecise;
+  std::uint32_t keep = ~0u;
+  int th = 0;
+  std::uint32_t acc_keep = ~0u;
+  std::size_t wide_block = 0;
+};
+
 /// One resolved backend: the name that bench rows and logs report, plus one
 /// function pointer per hand-vectorized kernel. A null entry means "no
 /// hand-written kernel at this level" and the caller runs its scalar
@@ -53,8 +72,11 @@ enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// The kernels cover every float multiplier datapath (ifp_mul, the Mitchell
 /// log and full paths of acfp_mul, trunc_mul), the TH-adder, each multiplier
 /// fused with the accumulate stage, and the SFU linear segments ircp, irsqrt
-/// and isqrt. ifp_div, ilog2 and iexp2 have no slot yet. One slot is not a
-/// unit: relax_row_f64 runs the interior cells of one row of one sweep of
+/// and isqrt. ifp_div, ilog2 and iexp2 have no slot yet. Two slots are not
+/// units. mac_panel_f32 is the tile-GEMM inner kernel (DESIGN.md §16): every
+/// multiplier, the precise one included, into every accumulator policy, with
+/// a block of C rows held in registers across the whole k loop of a packed
+/// B panel. relax_row_f64 runs the interior cells of one row of one sweep of
 /// the HotSpot steady-state relaxation (apps::relax_to_steady_state) in
 /// double, with each divide by the three loop-invariant thermal resistances
 /// replaced by an FMA-corrected reciprocal product that is exactly the
@@ -70,6 +92,9 @@ enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// accumulate), exactly the batch::mac_clamp normalization.
 /// relax_row_f64 writes out[i] for i < n from row[i - 1 .. i + 1], north[i],
 /// south[i] and power[i], so row[-1] and row[n] must be readable.
+/// mac_panel_f32 runs, for r < m and j < jn, c[r*ldc + j] = acc(mul(a[r*lda
+/// + k], b[k*jn + j]), c[r*ldc + j]) for k = 0 .. kn-1 in ascending order,
+/// with the chain's parameters in a PanelChain.
 struct KernelTable {
   const char* name = "scalar";
   void (*ifp_add_f32)(const float* a, const float* b, float* out,
@@ -101,6 +126,10 @@ struct KernelTable {
                         const double* south, const float* power, double* out,
                         std::size_t n, double sdc, double amb, double rx,
                         double ry, double rz) = nullptr;
+  void (*mac_panel_f32)(const float* a, std::size_t lda, const float* b,
+                        float* c, std::size_t ldc, std::size_t m,
+                        std::size_t kn, std::size_t jn,
+                        const PanelChain& chain) = nullptr;
 };
 
 /// Canonical lowercase name ("scalar", "avx2", "avx512").

@@ -15,13 +15,14 @@
 //
 //   load store set1 and_ or_ xor_ add sub srli slli srlv sllv max abs
 //   eq gt mand mor mandnot none sel zero_if add_carry ps_bits mul48
-//   add_ps add_cut seg_dp, and kLanes (lanes per V)
+//   add_ps mul_ps add_cut seg_dp, and kLanes (lanes per V)
 //
-// and, for the one double-precision kernel (relax_row_f64), the double lane
-// vector D, its compare result DM and a dozen wrappers:
+// and, for the double-precision work (relax_row_f64 and the wide GEMM
+// accumulator), the double lane vector D, its compare result DM and a dozen
+// wrappers:
 //
-//   loadd stored set1d addd subd muld divd fmad fnmad widen in_window
-//   dmand all seld, and kDLanes (lanes per D)
+//   loadd stored set1d addd subd muld divd fmad fnmad widen widen2 narrow2
+//   in_window dmand all seld, and kDLanes (lanes per D)
 //
 // Only a shim's translation unit includes this header, after <immintrin.h>
 // and with its own -m flags. Everything here sits in an anonymous namespace,
@@ -245,6 +246,177 @@ struct Kernels {
     const V akeep = T::set1(acc_keep);
     drive(out, n, [&](V x, V y, V z) { return acc(mul(x, y), z, th, akeep); },
           a, b, c);
+  }
+
+  // --- GEMM panel: C rows in registers across the k loop --------------------
+  // A block of kPanelRows C rows runs one column vector at a time. Each k
+  // step loads one B vector and shares it across the rows (the multipliers'
+  // field extraction of b is common to them all), then advances every row's
+  // chain by acc(mul(A[r,k], b), c_r). Each C element still runs its own
+  // chain with k ascending, so the panel matches any other schedule of the
+  // same chain bit for bit.
+
+  static constexpr std::size_t kPanelRows = 4;
+
+  /// The per-step accumulators: `add` advances one C row in place.
+  template <class Add>
+  struct StepAcc {
+    Add add;
+    using Row = V;
+    static Row begin(V c) { return c; }
+    void mac(Row& c, V p) const { c = add(p, c); }
+    template <std::size_t R>
+    void next(Row (&)[R]) {}
+    static V end(const Row& c) { return c; }
+  };
+
+  /// The wide accumulator: a row's products sum exactly into fp64 lanes and
+  /// fold into c, through the precise canonicalizing add, every `blk` steps
+  /// and at the end of the panel.
+  struct WideAcc {
+    std::size_t blk, left;
+    struct Row {
+      V c;
+      typename T::D lo, hi;
+    };
+    static Row begin(V c) { return {c, T::set1d(0.0), T::set1d(0.0)}; }
+    void mac(Row& r, V p) const {
+      typename T::D plo, phi;
+      T::widen2(p, &plo, &phi);
+      r.lo = T::addd(r.lo, plo);
+      r.hi = T::addd(r.hi, phi);
+    }
+    static void fold(Row& r) {
+      r.c = acc(T::narrow2(r.lo, r.hi), r.c, 0, T::set1(~0u));
+      r.lo = r.hi = T::set1d(0.0);
+    }
+    template <std::size_t R>
+    void next(Row (&rows)[R]) {
+      if (--left != 0) return;
+      for (Row& r : rows) fold(r);
+      left = blk;
+    }
+    V end(Row& r) const {
+      if (left != blk) fold(r);
+      return r.c;
+    }
+  };
+
+  /// Steps k0 .. k0+kn-1 of the kPanelRows row chains on one column vector:
+  /// A row r at arow[r], the B vector of step k0 + k at b + k * ldb.
+  template <class Mul, class Acc>
+  static void panel_steps(const float* const (&arow)[kPanelRows],
+                          std::size_t k0, const float* b, std::size_t ldb,
+                          std::size_t kn,
+                          typename Acc::Row (&rows)[kPanelRows], Mul mul,
+                          Acc& ac) {
+    for (std::size_t k = 0; k < kn; ++k) {
+      const V bv = T::load(b + k * ldb);
+      for (std::size_t r = 0; r < kPanelRows; ++r) {
+        const V av = T::set1(std::bit_cast<std::uint32_t>(arow[r][k0 + k]));
+        ac.mac(rows[r], mul(av, bv));
+      }
+      ac.next(rows);
+    }
+  }
+
+  /// m <= kPanelRows rows of C (stride ldc) through the whole panel, one
+  /// column vector at a time. A short group repeats its last row in the
+  /// missing register rows and does not store them, so every group runs
+  /// the same code. The ragged column tail runs on zero-padded stack copies
+  /// of C and of the B tail, the latter kPanelChunk steps at a time.
+  template <class Mul, class Acc>
+  static void panel_rows(const float* a, std::size_t lda, const float* b,
+                         float* c, std::size_t ldc, std::size_t m,
+                         std::size_t kn, std::size_t jn, Mul mul,
+                         const Acc& proto) {
+    constexpr std::size_t R = kPanelRows, W = T::kLanes, kPanelChunk = 64;
+    const float* arow[R];
+    float* crow[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      arow[r] = a + (r < m ? r : m - 1) * lda;
+      crow[r] = c + (r < m ? r : m - 1) * ldc;
+    }
+    float cpad[R][W] = {}, bpad[kPanelChunk][W] = {};
+    for (std::size_t j = 0; j < jn; j += W) {
+      const bool tail = jn - j < W;
+      const std::size_t bytes = (tail ? jn - j : W) * sizeof(float);
+      float* cv[R];
+      for (std::size_t r = 0; r < R; ++r) {
+        cv[r] = tail ? cpad[r] : crow[r] + j;
+        if (tail) std::memcpy(cpad[r], crow[r] + j, bytes);
+      }
+      Acc ac = proto;
+      typename Acc::Row rows[R] = {};
+      for (std::size_t r = 0; r < R; ++r) rows[r] = Acc::begin(T::load(cv[r]));
+      for (std::size_t k0 = 0; k0 < kn; k0 += kPanelChunk) {
+        const std::size_t n = kn - k0 < kPanelChunk ? kn - k0 : kPanelChunk;
+        const float* bv = b + k0 * jn + j;
+        std::size_t ldb = jn;
+        if (tail) {
+          for (std::size_t k = 0; k < n; ++k)
+            std::memcpy(bpad[k], bv + k * jn, bytes);
+          bv = bpad[0];
+          ldb = W;
+        }
+        panel_steps(arow, k0, bv, ldb, n, rows, mul, ac);
+      }
+      for (std::size_t r = 0; r < m; ++r) {
+        T::store(cv[r], ac.end(rows[r]));
+        if (tail) std::memcpy(crow[r] + j, cv[r], bytes);
+      }
+    }
+  }
+
+  /// Every row group of the panel, kPanelRows rows at a time.
+  template <class Mul, class Acc>
+  static void panel(const float* a, std::size_t lda, const float* b,
+                    float* c, std::size_t ldc, std::size_t m, std::size_t kn,
+                    std::size_t jn, Mul mul, const Acc& ac) {
+    for (std::size_t r = 0; r < m; r += kPanelRows)
+      panel_rows(a + r * lda, lda, b, c + r * ldc, ldc,
+                 m - r < kPanelRows ? m - r : kPanelRows, kn, jn, mul, ac);
+  }
+
+  /// The panel of one multiplier with the chain's accumulator.
+  template <class Mul>
+  static void panel_acc(const float* a, std::size_t lda, const float* b,
+                        float* c, std::size_t ldc, std::size_t m,
+                        std::size_t kn, std::size_t jn, const PanelChain& ch,
+                        Mul mul) {
+    if (ch.wide_block != 0)
+      return panel(a, lda, b, c, ldc, m, kn, jn, mul,
+                   WideAcc{ch.wide_block, ch.wide_block});
+    if (ch.th >= 1) {
+      const int th = ch.th;
+      const auto add = [th](V p, V x) { return ifp_add(p, x, th); };
+      return panel(a, lda, b, c, ldc, m, kn, jn, mul,
+                   StepAcc<decltype(add)>{add});
+    }
+    const V akeep = T::set1(ch.acc_keep);
+    const auto add = [akeep](V p, V x) { return acc(p, x, 0, akeep); };
+    panel(a, lda, b, c, ldc, m, kn, jn, mul, StepAcc<decltype(add)>{add});
+  }
+
+  static void mac_panel_f32(const float* a, std::size_t lda, const float* b,
+                            float* c, std::size_t ldc, std::size_t m,
+                            std::size_t kn, std::size_t jn,
+                            const PanelChain& ch) {
+    const V k = T::set1(ch.keep);
+    const auto run = [&](auto mul) {
+      panel_acc(a, lda, b, c, ldc, m, kn, jn, ch, mul);
+    };
+    switch (ch.mul) {
+      case PanelMul::kPrecise:
+        return run([](V x, V y) { return T::mul_ps(x, y); });
+      case PanelMul::kIfp: return run([](V x, V y) { return ifp_mul(x, y); });
+      case PanelMul::kAcfpLog:
+        return run([k](V x, V y) { return acfp_log(x, y, k); });
+      case PanelMul::kAcfpFull:
+        return run([k](V x, V y) { return acfp_full(x, y, k); });
+      case PanelMul::kTrunc:
+        return run([k](V x, V y) { return trunc_mul(x, y, k); });
+    }
   }
 
   // --- SFU linear segments: ircp, irsqrt, isqrt -----------------------------
@@ -500,7 +672,8 @@ struct Kernels {
             .acfp_full_mac_f32 = &acfp_full_mac_f32,
             .irsqrt_f32 = &irsqrt_f32,
             .isqrt_f32 = &isqrt_f32,
-            .relax_row_f64 = &relax_row_f64};
+            .relax_row_f64 = &relax_row_f64,
+            .mac_panel_f32 = &mac_panel_f32};
   }
 };
 

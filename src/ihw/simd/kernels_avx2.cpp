@@ -106,6 +106,12 @@ struct Avx2 {
     return _mm256_castps_si256(s);
   }
 
+  /// Bits of the precise float product of the lane bit patterns.
+  IHW_SHIM V mul_ps(V a, V b) {
+    return _mm256_castps_si256(
+        _mm256_mul_ps(_mm256_castsi256_ps(a), _mm256_castsi256_ps(b)));
+  }
+
   /// The SFUs' double segment (Kernels<T>::ircp, rsqrt_seg) as two 4-lane
   /// halves: the bits of (float)(approx * 2^yexp), where xr = (1 +
   /// frac/2^23) * 2^xexp and approx = a - b * xr, times xr once more when
@@ -163,6 +169,16 @@ struct Avx2 {
   IHW_SHIM D fnmad(D a, D b, D c) { return _mm256_fnmadd_pd(a, b, c); }
   /// kDLanes floats widened to doubles (one cvtps2pd).
   IHW_SHIM D widen(const float* p) { return _mm256_cvtps_pd(_mm_loadu_ps(p)); }
+  /// The float lanes of v widened to doubles: lanes 0-3 in *lo, 4-7 in *hi.
+  IHW_SHIM void widen2(V v, D* lo, D* hi) {
+    *lo = _mm256_cvtps_pd(_mm_castsi128_ps(_mm256_castsi256_si128(v)));
+    *hi = _mm256_cvtps_pd(_mm_castsi128_ps(_mm256_extracti128_si256(v, 1)));
+  }
+  /// widen2 inverted: both halves rounded to float (round to nearest).
+  IHW_SHIM V narrow2(D lo, D hi) {
+    return _mm256_castps_si256(
+        _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo)));
+  }
   using DM = __m256d;  // compare result: all ones in each true lane
   /// Lanes whose |x| bit pattern lies in [lo, hi) (NaN never does): one
   /// unsigned 64-bit range compare, as a signed compare of the bits offset

@@ -111,6 +111,12 @@ struct Avx512 {
     return _mm512_castps_si512(s);
   }
 
+  /// Bits of the precise float product of the lane bit patterns.
+  IHW_SHIM V mul_ps(V a, V b) {
+    return _mm512_castps_si512(
+        _mm512_mul_ps(_mm512_castsi512_ps(a), _mm512_castsi512_ps(b)));
+  }
+
   /// The SFUs' double segment (Kernels<T>::ircp, rsqrt_seg) as two 8-lane
   /// halves: the bits of (float)(approx * 2^yexp), where xr = (1 +
   /// frac/2^23) * 2^xexp and approx = a - b * xr, times xr once more when
@@ -171,6 +177,17 @@ struct Avx512 {
   /// kDLanes floats widened to doubles (one vcvtps2pd).
   IHW_SHIM D widen(const float* p) {
     return _mm512_cvtps_pd(_mm256_loadu_ps(p));
+  }
+  /// The float lanes of v widened to doubles: lanes 0-7 in *lo, 8-15 in *hi.
+  IHW_SHIM void widen2(V v, D* lo, D* hi) {
+    *lo = _mm512_cvtps_pd(_mm512_castps512_ps256(_mm512_castsi512_ps(v)));
+    *hi = _mm512_cvtps_pd(
+        _mm256_castsi256_ps(_mm512_extracti64x4_epi64(v, 1)));
+  }
+  /// widen2 inverted: both halves rounded to float (round to nearest).
+  IHW_SHIM V narrow2(D lo, D hi) {
+    return _mm512_castps_si512(_mm512_insertf32x8(
+        _mm512_castps256_ps512(_mm512_cvtpd_ps(lo)), _mm512_cvtpd_ps(hi), 1));
   }
   using DM = __mmask8;
   /// Lanes whose |x| bit pattern lies in [lo, hi) (NaN never does): one

@@ -98,6 +98,7 @@ const std::vector<std::pair<std::string, IhwConfig>>& mul_configs() {
       {"precise", IhwConfig::precise()},
       {"ifp", IhwConfig::mul_only(MulMode::ImpreciseSimple, 0)},
       {"acfp_log tr=8", IhwConfig::mul_only(MulMode::MitchellLog, 8)},
+      {"acfp_full tr=4", IhwConfig::mul_only(MulMode::MitchellFull, 4)},
       {"trunc 12", IhwConfig::mul_only(MulMode::BitTruncated, 12)},
   };
   return kConfigs;
@@ -172,6 +173,60 @@ TEST(GemmBitIdentity, InvariantAcrossSimdBackends) {
       EXPECT_TRUE(spans_identical(out, ref))
           << acc_label << " under forced " << simd::isa_name(level)
           << " (active " << simd::kernels().name << ")";
+    }
+  }
+}
+
+TEST(GemmBitIdentity, PanelEdgesAndSpecials) {
+  // Every row count modulo the panel's register block, column counts around
+  // the 8- and 16-lane vector widths (and the MLP's 10 classes), and depths
+  // on either side of the kc panel and wide-block edges and of the panel
+  // kernel's 64-step tail chunks, on operands with IEEE specials and on
+  // finite ones, for every multiplier x accumulator x SIMD backend.
+  struct Shape {
+    int m, n, k, kc;
+  };
+  std::vector<Shape> shapes;
+  for (int m = 1; m <= 9; ++m)
+    for (int n : {1, 7, 8, 9, 10, 15, 16, 17, 33})
+      shapes.push_back({m, n, 7, 6});
+  for (int k : {1, 5, 6, 13}) shapes.push_back({5, 17, k, 6});
+  for (int k : {64, 70, 130}) {
+    shapes.push_back({6, 9, k, 100});
+    shapes.push_back({9, 33, k, 100});
+  }
+
+  for (const auto& shape : shapes) {
+    const auto [kM, kN, kK, kc] = shape;
+    const std::size_t na = std::size_t(kM) * kK, nb = std::size_t(kK) * kN;
+    const std::uint64_t seed = 300 + 7 * std::uint64_t(&shape - shapes.data());
+    const std::vector<float> data[][2] = {
+        {operands(na, seed), operands(nb, seed + 1)},
+        {inputs(na, seed + 2), inputs(nb, seed + 3)}};
+    for (const auto& [A, B] : data) {
+      for (const auto& [mul_label, icfg] : mul_configs()) {
+        for (const auto& [acc_label, base] : accum_policies()) {
+          GemmConfig g = base;
+          g.kc = kc;
+          g.mc = 16;
+          FpContext ctx(icfg);
+          ScopedContext scope(ctx);
+          std::vector<float> ref(std::size_t(kM) * kN);
+          gemm::reference(A.data(), B.data(), ref.data(), kM, kN, kK, g);
+          for (simd::IsaLevel level :
+               {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2,
+                simd::IsaLevel::kAvx512}) {
+            simd::ScopedIsa forced(level);
+            std::vector<float> out(std::size_t(kM) * kN, 42.0f);
+            gemm::run(A.data(), B.data(), out.data(), kM, kN, kK, g);
+            ASSERT_TRUE(spans_identical(out, ref))
+                << mul_label << " / " << acc_label << " M " << kM << " N "
+                << kN << " K " << kK << " kc " << kc << " under "
+                << simd::kernels().name
+                << (&A == &data[0][0] ? " (specials)" : " (finite)");
+          }
+        }
+      }
     }
   }
 }
