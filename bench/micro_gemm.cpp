@@ -106,6 +106,13 @@ BENCHMARK_CAPTURE(BM_GemmNaive, acfp_log,
 BENCHMARK_CAPTURE(BM_GemmTiled, acfp_log,
                   IhwConfig::mul_only(MulMode::MitchellLog, 0),
                   gemm::GemmConfig{});
+// Ungated: the one multiplier perfbench does not run gets a measured row.
+BENCHMARK_CAPTURE(BM_GemmNaive, acfp_full,
+                  IhwConfig::mul_only(MulMode::MitchellFull, 0),
+                  gemm::GemmConfig{});
+BENCHMARK_CAPTURE(BM_GemmTiled, acfp_full,
+                  IhwConfig::mul_only(MulMode::MitchellFull, 0),
+                  gemm::GemmConfig{});
 BENCHMARK_CAPTURE(BM_GemmNaive, trunc,
                   IhwConfig::mul_only(MulMode::BitTruncated, 12),
                   gemm::GemmConfig{});

@@ -14,7 +14,7 @@
 //
 // Self-hosts the daemon in-process by default; --socket=PATH drives an
 // external ihw_sweepd instead (metrics-based counters work either way).
-// --json=PATH writes the BENCH_pr6.json document consumed by
+// --json=PATH writes the bench_serve_gate.json document consumed by
 // tools/check_bench_regression.py --serve.
 //
 // With --chaos-rate=R (and optionally --chaos-seed=S) a fourth phase runs:

@@ -76,7 +76,9 @@ struct PanelChain {
 /// units. mac_panel_f32 is the tile-GEMM inner kernel (DESIGN.md §16): every
 /// multiplier, the precise one included, into every accumulator policy, with
 /// a block of C rows held in registers across the whole k loop of a packed
-/// B panel. relax_row_f64 runs the interior cells of one row of one sweep of
+/// B panel and, for the imprecise multipliers, the block's A operands split
+/// into their fields once per chunk of k steps for every column vector.
+/// relax_row_f64 runs the interior cells of one row of one sweep of
 /// the HotSpot steady-state relaxation (apps::relax_to_steady_state) in
 /// double, with each divide by the three loop-invariant thermal resistances
 /// replaced by an FMA-corrected reciprocal product that is exactly the

@@ -96,99 +96,127 @@ struct Kernels {
     return T::sel(r, qnan, T::mor(A.is_nan, B.is_nan));
   }
 
-  /// Exponent-window clamp shared by the multiplier cores: underflow lanes
-  /// (biased <= 0) flush to the signed zero, overflow lanes (biased >= 255)
-  /// saturate to the signed infinity.
-  static V clamp_exp(V core, V biased, V sign) {
-    core = T::sel(core, sign, T::gt(T::set1(1), biased));
-    return T::sel(core, T::or_(sign, T::set1(kInfBits)),
-                  T::gt(biased, T::set1(kExpMask - 1)));
-  }
-
-  /// Assembles sign | exp | frac from in-range lane fields.
-  static V compose(V sign, V biased, V frac) {
-    const V e = T::slli(T::and_(biased, T::set1(kExpMask)), FB);
-    return T::or_(sign, T::or_(e, frac));
-  }
-
   /// Biased exponent of a product before its carry: ea + eb - bias.
   static V exp_sum(const Fields& A, const Fields& B) {
     return T::add(T::add(A.e, B.e), T::set1(-kBias));
   }
 
-  /// Result of a multiplier datapath from its core fields.
-  static V mul_result(V sign, const Fields& A, const Fields& B, V biased,
-                      V frac) {
-    return mul_specials(sign, A, B,
-                        clamp_exp(compose(sign, biased, frac), biased, sign));
+  /// Sign bit of the product of the lane bit patterns.
+  static V sign_of(V ab, V bb) {
+    return T::and_(T::xor_(ab, bb), T::set1(kSignMask));
   }
 
-  /// Tail of ifp_mul and the Mitchell full path (lanes::carry_mul_result):
-  /// the significand sum 2^FB + s normalizes by one right shift when it
+  /// A multiplier core before the special-value chain (lanes::mul_lane):
+  /// sign | biased | frac inside the exponent window, the signed zero where
+  /// the biased exponent underflows (<= 0) and the signed infinity where it
+  /// overflows (>= 255). A lane outside the window never shows its fields,
+  /// so `biased` needs no mask.
+  static V core_result(V sign, V biased, V frac) {
+    V r = T::zero_if(T::gt(T::set1(1), biased),
+                     T::or_(T::slli(biased, FB), frac));
+    r = T::sel(r, T::set1(kInfBits), T::gt(biased, T::set1(kExpMask - 1)));
+    return T::or_(sign, r);
+  }
+
+  /// Core of ifp_mul and the Mitchell full path (lanes::carry_core) from the
+  /// product's sign, its biased exponent before the carry and the
+  /// significand sum s: 2^FB + s normalizes by one right shift when it
   /// reaches 2^(FB+1).
-  static V carry_result(V ab, V bb, const Fields& A, const Fields& B, V s) {
-    const V sign = T::and_(T::xor_(ab, bb), T::set1(kSignMask));
+  static V carry_core(V sign, V e, V s) {
     const M cin = T::gt(s, T::set1(kHidden - 1));
     const V frac = T::sel(s, T::srli(T::sub(s, T::set1(kHidden)), 1), cin);
-    return mul_result(sign, A, B, T::add_carry(exp_sum(A, B), cin), frac);
+    return core_result(sign, T::add_carry(e, cin), frac);
+  }
+
+  /// Core of the Mitchell log path: as carry_core, but with no
+  /// normalization shift -- the 2^x ~ 1+x antilog reinterprets the overflow.
+  static V log_core(V sign, V e, V s) {
+    const M cin = T::gt(s, T::set1(kHidden - 1));
+    const V frac = T::sel(s, T::sub(s, T::set1(kHidden)), cin);
+    return core_result(sign, T::add_carry(e, cin), frac);
+  }
+
+  /// Core of trunc_mul from the two 24-bit significands ma and mb.
+  static V trunc_core(V sign, V e, V ma, V mb, V keep) {
+    V cin;  // -1 in the lanes whose product carries
+    V frac = T::mul48(ma, mb, &cin);
+    frac = T::and_(T::and_(frac, T::set1(kFracMask)), keep);
+    return core_result(sign, T::sub(e, cin), frac);
   }
 
   // --- ifp_mul, acfp_mul (Mitchell log and full paths), trunc_mul -----------
 
   static V ifp_mul(V ab, V bb) {
     const Fields A = fields(ab), B = fields(bb);
-    return carry_result(ab, bb, A, B, T::add(flushed(A), flushed(B)));
+    const V sign = sign_of(ab, bb);
+    return mul_specials(
+        sign, A, B,
+        carry_core(sign, exp_sum(A, B), T::add(flushed(A), flushed(B))));
   }
 
   static V acfp_log(V ab, V bb, V keep) {
     const Fields A = fields(ab), B = fields(bb);
-    const V sign = T::and_(T::xor_(ab, bb), T::set1(kSignMask));
+    const V sign = sign_of(ab, bb);
     const V s = T::add(T::and_(flushed(A), keep), T::and_(flushed(B), keep));
-    const M cin = T::gt(s, T::set1(kHidden - 1));
-    // No normalization shift: the 2^x ~ 1+x antilog reinterprets the overflow.
-    const V frac = T::sel(s, T::sub(s, T::set1(kHidden)), cin);
-    return mul_result(sign, A, B, T::add_carry(exp_sum(A, B), cin), frac);
+    return mul_specials(sign, A, B, log_core(sign, exp_sum(A, B), s));
+  }
+
+  /// One operand's half of Mitchell's MA cross term (mitchell_cross) on its
+  /// keep-masked fraction f: l, the exponent field of the exact int->float
+  /// convert of f, which is kBias + k for a leading one at bit k and 0 for a
+  /// zero f, and x' = (f - 2^k) << (FB-1-k), the leading one moved to bit
+  /// FB-1 and masked off.
+  struct CrossHalf {
+    V l, x;
+  };
+
+  static CrossHalf cross_half(V f) {
+    const V l = T::srli(T::ps_bits(f), FB);
+    return {l, T::and_(T::sllv(f, T::sub(T::set1(FB - 1 + kBias), l)),
+                       T::set1(kHidden / 2 - 1))};
+  }
+
+  /// The cross term from the halves: a's x' and its shift count
+  /// 2FB - 1 + 2 kBias - la, and b's x' and l.
+  static V cross_join(V xa, V cnt_a, V xb, V lb) {
+    const V low = T::set1(kHidden / 2 - 1);
+    const V x = T::add(xa, xb);
+    // 2FB - 1 - k with k = la + lb - 2 kBias + carry (bit FB-1 of x).
+    const V cnt = T::sub(T::sub(cnt_a, lb), T::srli(x, FB - 1));
+    return T::srlv(T::or_(T::and_(x, low), T::set1(kHidden / 2)), cnt);
   }
 
   /// Mitchell's MA cross term of two keep-masked fractions, already aligned
   /// by >> FB: (2^(FB-1) + f') >> (2FB - 1 - k) on FB-1 fraction bits (the
   /// exactness argument is at lanes::acfp_full_lane in lanes.h). Each
-  /// leading one is read off an exact int->float convert, whose exponent
-  /// field is kBias + k for a nonzero fraction. A zero fraction converts to
-  /// exponent field 0, which pushes both of its shift counts past 31, and
-  /// variable shifts past 31 yield 0: the lane's zero select and shift clamp
-  /// are built into the instructions.
+  /// leading one is read off an exact int->float convert. A zero fraction
+  /// converts to exponent field 0, which pushes both of its shift counts
+  /// past 31, and variable shifts past 31 yield 0: the lane's zero select
+  /// and shift clamp are built into the instructions.
   static V mitchell_cross(V fa, V fb) {
-    const V la = T::srli(T::ps_bits(fa), FB), lb = T::srli(T::ps_bits(fb), FB);
-    // x' = (m - 2^k) << (FB-1-k): the leading one moves to bit FB-1 and is
-    // masked off.
-    const V up = T::set1(FB - 1 + kBias);
-    const V low = T::set1(kHidden / 2 - 1);
-    const V x = T::add(T::and_(T::sllv(fa, T::sub(up, la)), low),
-                       T::and_(T::sllv(fb, T::sub(up, lb)), low));
-    // 2FB - 1 - k with k = la + lb - 2 kBias + carry (bit FB-1 of x).
-    const V cnt = T::sub(
-        T::sub(T::set1(2 * FB - 1 + 2 * kBias), T::add(la, lb)),
-        T::srli(x, FB - 1));
-    return T::srlv(T::or_(T::and_(x, low), T::set1(kHidden / 2)), cnt);
+    const CrossHalf A = cross_half(fa), B = cross_half(fb);
+    return cross_join(A.x, T::sub(T::set1(2 * FB - 1 + 2 * kBias), A.l), B.x,
+                      B.l);
   }
 
   static V acfp_full(V ab, V bb, V keep) {
     const Fields A = fields(ab), B = fields(bb);
+    const V sign = sign_of(ab, bb);
     const V fa = T::and_(flushed(A), keep), fb = T::and_(flushed(B), keep);
-    return carry_result(ab, bb, A, B,
-                        T::add(T::add(fa, fb), mitchell_cross(fa, fb)));
+    return mul_specials(sign, A, B,
+                        carry_core(sign, exp_sum(A, B),
+                                   T::add(T::add(fa, fb),
+                                          mitchell_cross(fa, fb))));
   }
 
   static V trunc_mul(V ab, V bb, V keep) {
     const Fields A = fields(ab), B = fields(bb);
-    const V sign = T::and_(T::xor_(ab, bb), T::set1(kSignMask));
+    const V sign = sign_of(ab, bb);
     const V hidden = T::set1(kHidden);
-    V cin;  // -1 in the lanes whose product carries
-    V frac = T::mul48(T::or_(flushed(A), hidden), T::or_(flushed(B), hidden),
-                      &cin);
-    frac = T::and_(T::and_(frac, T::set1(kFracMask)), keep);
-    return mul_result(sign, A, B, T::sub(exp_sum(A, B), cin), frac);
+    return mul_specials(sign, A, B,
+                        trunc_core(sign, exp_sum(A, B),
+                                   T::or_(flushed(A), hidden),
+                                   T::or_(flushed(B), hidden), keep));
   }
 
   // --- ifp_add --------------------------------------------------------------
@@ -250,13 +278,129 @@ struct Kernels {
 
   // --- GEMM panel: C rows in registers across the k loop --------------------
   // A block of kPanelRows C rows runs one column vector at a time. Each k
-  // step loads one B vector and shares it across the rows (the multipliers'
-  // field extraction of b is common to them all), then advances every row's
-  // chain by acc(mul(A[r,k], b), c_r). Each C element still runs its own
-  // chain with k ascending, so the panel matches any other schedule of the
-  // same chain bit for bit.
+  // step loads one B vector, shares it across the rows and advances every
+  // row's chain by acc(mul(A[r,k], b), c_r). An imprecise multiplier splits
+  // the row group's A operands into their fields once per chunk of at most
+  // kPanelChunk steps (AChunk), and every column vector of the chunk reuses
+  // the split: a step splits b alone, once for all the rows, and joins it
+  // with each row's broadcast A fields (SplitMul::mul). A zero or subnormal
+  // operand stays on that step through its exponent term kZeroExp, and a B
+  // NaN lane is one select. A chunk whose A operands hold an inf or NaN, and
+  // a B panel that holds an infinity (inf x 0 needs both operands' classes),
+  // run the unsplit datapath on the broadcast A operand instead, which is
+  // also the precise multiplier's only step. Each C element still runs its
+  // own chain with k ascending, so the panel matches any other schedule of
+  // the same chain bit for bit.
 
-  static constexpr std::size_t kPanelRows = 4;
+  static constexpr std::size_t kPanelRows = 4, kPanelChunk = 64;
+
+  /// Exponent term of a zero or subnormal operand: so far below the window
+  /// that every product with it flushes to the signed zero in core_result,
+  /// whatever the other operand's exponent.
+  static constexpr std::uint32_t kZeroExp = 0u - 1024u;
+
+  /// The A operands of one row group's chunk split for the shared-B step,
+  /// one array per field of SplitMul::Term, as float bit patterns: the
+  /// operand's sign bit, its exponent field less the bias (kZeroExp less
+  /// the bias for a zero or subnormal), the multiplier's significand term,
+  /// and for the Mitchell full path the operand's half of the cross term:
+  /// x' and the shift count 2FB - 1 + 2 kBias - l.
+  struct AChunk {
+    float sign[kPanelRows][kPanelChunk], exp[kPanelRows][kPanelChunk],
+        sig[kPanelRows][kPanelChunk], x[kPanelRows][kPanelChunk],
+        cnt[kPanelRows][kPanelChunk];
+  };
+
+  /// A split field broadcast to every lane.
+  static V bcast(float f) { return T::set1(std::bit_cast<std::uint32_t>(f)); }
+
+  /// The precise multiplier: the unsplit step only.
+  struct PreciseMul {
+    V operator()(V a, V b) const { return T::mul_ps(a, b); }
+  };
+
+  /// An imprecise multiplier in the halves of the shared-B step: term()
+  /// once per vector of A operands (split into an AChunk) and once per B
+  /// vector for all the rows, and mul() to join them, for operands that are
+  /// not inf or NaN. operator() is the unsplit datapath, for any operands.
+  template <PanelMul kMul>
+  struct SplitMul {
+    V keep;
+
+    /// One operand vector's half of a step: sign bits, exponent field
+    /// (kZeroExp in the zero and subnormal lanes), significand term, the
+    /// Mitchell full path's cross-term half, and the lanes whose exponent
+    /// field is all ones (inf or NaN).
+    struct Term {
+      V sign, exp, sig;
+      CrossHalf cross;
+      M top;
+    };
+
+    V operator()(V a, V b) const {
+      if constexpr (kMul == PanelMul::kIfp) return ifp_mul(a, b);
+      else if constexpr (kMul == PanelMul::kAcfpLog)
+        return acfp_log(a, b, keep);
+      else if constexpr (kMul == PanelMul::kAcfpFull)
+        return acfp_full(a, b, keep);
+      else return trunc_mul(a, b, keep);
+    }
+
+    Term term(V v) const {
+      const V e = T::and_(T::srli(v, FB), T::set1(kExpMask));
+      const V f = T::and_(v, T::set1(kFracMask));
+      Term t;
+      t.sign = T::and_(v, T::set1(kSignMask));
+      t.exp = T::sel(e, T::set1(kZeroExp), T::eq(e, T::set1(0)));
+      t.top = T::eq(e, T::set1(kExpMask));
+      if constexpr (kMul == PanelMul::kIfp) t.sig = f;
+      else if constexpr (kMul == PanelMul::kTrunc)
+        t.sig = T::or_(f, T::set1(kHidden));
+      else t.sig = T::and_(f, keep);
+      if constexpr (kMul == PanelMul::kAcfpFull) t.cross = cross_half(t.sig);
+      return t;
+    }
+
+    /// A's fields of one vector of k steps of row r, from term().
+    static void store_a(AChunk& at, std::size_t r, std::size_t k,
+                        const Term& t) {
+      T::store(at.sign[r] + k, t.sign);
+      T::store(at.exp[r] + k, T::sub(t.exp, T::set1(kBias)));
+      T::store(at.sig[r] + k, t.sig);
+      if constexpr (kMul == PanelMul::kAcfpFull) {
+        T::store(at.x[r] + k, t.cross.x);
+        T::store(at.cnt[r] + k,
+                 T::sub(T::set1(2 * FB - 1 + 2 * kBias), t.cross.l));
+      }
+    }
+
+    /// The product of A[r, k] and the B vector of term b. A panel on this
+    /// step holds no B infinity, so b's all-ones lanes are NaNs.
+    V mul(const Term& b, const AChunk& at, std::size_t r,
+          std::size_t k) const {
+      const V sign = T::xor_(b.sign, bcast(at.sign[r][k]));
+      const V e = T::add(b.exp, bcast(at.exp[r][k]));
+      const V sig = bcast(at.sig[r][k]);
+      V p;
+      if constexpr (kMul == PanelMul::kTrunc) {
+        p = trunc_core(sign, e, sig, b.sig, keep);
+      } else if constexpr (kMul == PanelMul::kAcfpLog) {
+        p = log_core(sign, e, T::add(sig, b.sig));
+      } else {
+        V s = T::add(sig, b.sig);
+        if constexpr (kMul == PanelMul::kAcfpFull)
+          s = T::add(s, cross_join(bcast(at.x[r][k]), bcast(at.cnt[r][k]),
+                                   b.cross.x, b.cross.l));
+        p = carry_core(sign, e, s);
+      }
+      return T::sel(p, T::set1(kQnanBits), b.top);
+    }
+  };
+
+  /// Whether Mul has the shared-B step (SplitMul) or only the unsplit one.
+  template <class Mul>
+  static constexpr bool kSplits =
+      requires(const Mul& m) { m.term(T::set1(0)); };
 
   /// The per-step accumulators: `add` advances one C row in place.
   template <class Add>
@@ -268,6 +412,8 @@ struct Kernels {
     template <std::size_t R>
     void next(Row (&)[R]) {}
     static V end(const Row& c) { return c; }
+    /// Steps between stores of a row: its state is c alone at every step.
+    static std::size_t span(std::size_t) { return kPanelChunk; }
   };
 
   /// The wide accumulator: a row's products sum exactly into fp64 lanes and
@@ -300,16 +446,63 @@ struct Kernels {
       if (left != blk) fold(r);
       return r.c;
     }
+    /// Steps between stores of a row: whole blocks, where the fp64 sums
+    /// are empty, within a chunk, else the whole panel of kn steps.
+    std::size_t span(std::size_t kn) const {
+      return blk <= kPanelChunk ? kPanelChunk - kPanelChunk % blk : kn;
+    }
   };
 
-  /// Steps k0 .. k0+kn-1 of the kPanelRows row chains on one column vector:
-  /// A row r at arow[r], the B vector of step k0 + k at b + k * ldb.
+  /// The A operands of steps k0 .. k0+n-1 of the row group split into at;
+  /// null when one of them is an inf or NaN, or the multiplier does not
+  /// split, so that the steps run the unsplit datapath. A ragged end of the
+  /// steps loads through a zero-padded stack copy.
+  template <class Mul>
+  static const AChunk* split_a(const float* const (&arow)[kPanelRows],
+                               std::size_t k0, std::size_t n, const Mul& mul,
+                               AChunk& at) {
+    if constexpr (!kSplits<Mul>) {
+      return nullptr;
+    } else {
+      constexpr std::size_t W = T::kLanes;
+      bool special = false;
+      for (std::size_t r = 0; r < kPanelRows; ++r)
+        for (std::size_t k = 0; k < n; k += W) {
+          const float* src = arow[r] + k0 + k;
+          float pad[W] = {};
+          if (n - k < W) {
+            std::memcpy(pad, src, (n - k) * sizeof(float));
+            src = pad;
+          }
+          const auto t = mul.term(T::load(src));
+          special |= !T::none(t.top);
+          Mul::store_a(at, r, k, t);
+        }
+      return special ? nullptr : &at;
+    }
+  }
+
+  /// Steps k0 .. k0+kn-1 of the kPanelRows row chains on one column vector,
+  /// the B vector of step k0 + k at b + k * ldb: the shared-B step on the
+  /// split A operands `at` of the steps, or, when `at` is null, the unsplit
+  /// datapath on A row r at arow[r].
   template <class Mul, class Acc>
   static void panel_steps(const float* const (&arow)[kPanelRows],
-                          std::size_t k0, const float* b, std::size_t ldb,
-                          std::size_t kn,
-                          typename Acc::Row (&rows)[kPanelRows], Mul mul,
-                          Acc& ac) {
+                          const AChunk* at, std::size_t k0, const float* b,
+                          std::size_t ldb, std::size_t kn,
+                          typename Acc::Row (&rows)[kPanelRows],
+                          const Mul& mul, Acc& ac) {
+    if constexpr (kSplits<Mul>) {
+      if (at != nullptr) {
+        for (std::size_t k = 0; k < kn; ++k) {
+          const auto bt = mul.term(T::load(b + k * ldb));
+          for (std::size_t r = 0; r < kPanelRows; ++r)
+            ac.mac(rows[r], mul.mul(bt, *at, r, k));
+          ac.next(rows);
+        }
+        return;
+      }
+    }
     for (std::size_t k = 0; k < kn; ++k) {
       const V bv = T::load(b + k * ldb);
       for (std::size_t r = 0; r < kPanelRows; ++r) {
@@ -320,62 +513,86 @@ struct Kernels {
     }
   }
 
-  /// m <= kPanelRows rows of C (stride ldc) through the whole panel, one
-  /// column vector at a time. A short group repeats its last row in the
-  /// missing register rows and does not store them, so every group runs
-  /// the same code. The ragged column tail runs on zero-padded stack copies
-  /// of C and of the B tail, the latter kPanelChunk steps at a time.
+  /// m <= kPanelRows rows of C (stride ldc) through the whole panel. The k
+  /// loop runs in spans of the accumulator (Acc::span), and each span runs
+  /// one column vector at a time with its A operands split once, unless
+  /// `split` is false or the span is longer than a chunk. A short group
+  /// repeats its last row in the missing register rows and does not store
+  /// them, so every group runs the same code. The ragged column tail runs on
+  /// zero-padded stack copies of C and of the B tail, the latter
+  /// kPanelChunk steps at a time.
   template <class Mul, class Acc>
   static void panel_rows(const float* a, std::size_t lda, const float* b,
                          float* c, std::size_t ldc, std::size_t m,
-                         std::size_t kn, std::size_t jn, Mul mul,
-                         const Acc& proto) {
-    constexpr std::size_t R = kPanelRows, W = T::kLanes, kPanelChunk = 64;
+                         std::size_t kn, std::size_t jn, const Mul& mul,
+                         bool split, const Acc& proto) {
+    constexpr std::size_t R = kPanelRows, W = T::kLanes;
     const float* arow[R];
     float* crow[R];
     for (std::size_t r = 0; r < R; ++r) {
       arow[r] = a + (r < m ? r : m - 1) * lda;
       crow[r] = c + (r < m ? r : m - 1) * ldc;
     }
-    float cpad[R][W] = {}, bpad[kPanelChunk][W] = {};
-    for (std::size_t j = 0; j < jn; j += W) {
-      const bool tail = jn - j < W;
-      const std::size_t bytes = (tail ? jn - j : W) * sizeof(float);
-      float* cv[R];
-      for (std::size_t r = 0; r < R; ++r) {
-        cv[r] = tail ? cpad[r] : crow[r] + j;
-        if (tail) std::memcpy(cpad[r], crow[r] + j, bytes);
-      }
-      Acc ac = proto;
-      typename Acc::Row rows[R] = {};
-      for (std::size_t r = 0; r < R; ++r) rows[r] = Acc::begin(T::load(cv[r]));
-      for (std::size_t k0 = 0; k0 < kn; k0 += kPanelChunk) {
-        const std::size_t n = kn - k0 < kPanelChunk ? kn - k0 : kPanelChunk;
-        const float* bv = b + k0 * jn + j;
-        std::size_t ldb = jn;
-        if (tail) {
-          for (std::size_t k = 0; k < n; ++k)
-            std::memcpy(bpad[k], bv + k * jn, bytes);
-          bv = bpad[0];
-          ldb = W;
+    AChunk at;
+    float cpad[R][W], bpad[kPanelChunk][W];
+    if (jn % W != 0) {
+      std::memset(cpad, 0, sizeof cpad);
+      std::memset(bpad, 0,
+                  (kn < kPanelChunk ? kn : kPanelChunk) * sizeof bpad[0]);
+    }
+    const std::size_t span = proto.span(kn);
+    for (std::size_t s0 = 0; s0 < kn; s0 += span) {
+      const std::size_t se = kn - s0 < span ? kn : s0 + span;
+      const bool once = se - s0 <= kPanelChunk;
+      const AChunk* ap =
+          split && once ? split_a(arow, s0, se - s0, mul, at) : nullptr;
+      for (std::size_t j = 0; j < jn; j += W) {
+        const bool tail = jn - j < W;
+        const std::size_t bytes = (tail ? jn - j : W) * sizeof(float);
+        float* cv[R];
+        for (std::size_t r = 0; r < R; ++r) {
+          cv[r] = tail ? cpad[r] : crow[r] + j;
+          if (tail) std::memcpy(cpad[r], crow[r] + j, bytes);
         }
-        panel_steps(arow, k0, bv, ldb, n, rows, mul, ac);
-      }
-      for (std::size_t r = 0; r < m; ++r) {
-        T::store(cv[r], ac.end(rows[r]));
-        if (tail) std::memcpy(crow[r] + j, cv[r], bytes);
+        Acc ac = proto;
+        typename Acc::Row rows[R] = {};
+        for (std::size_t r = 0; r < R; ++r)
+          rows[r] = Acc::begin(T::load(cv[r]));
+        for (std::size_t k0 = s0; k0 < se; k0 += kPanelChunk) {
+          const std::size_t n = se - k0 < kPanelChunk ? se - k0 : kPanelChunk;
+          if (split && !once) ap = split_a(arow, k0, n, mul, at);
+          const float* bv = b + k0 * jn + j;
+          std::size_t ldb = jn;
+          if (tail) {
+            for (std::size_t k = 0; k < n; ++k)
+              std::memcpy(bpad[k], bv + k * jn, bytes);
+            bv = bpad[0];
+            ldb = W;
+          }
+          panel_steps(arow, ap, k0, bv, ldb, n, rows, mul, ac);
+        }
+        for (std::size_t r = 0; r < m; ++r) {
+          T::store(cv[r], ac.end(rows[r]));
+          if (tail) std::memcpy(crow[r] + j, cv[r], bytes);
+        }
       }
     }
   }
 
-  /// Every row group of the panel, kPanelRows rows at a time.
+  /// Every row group of the panel, kPanelRows rows at a time. The shared-B
+  /// step leaves a B panel that holds an infinity to the unsplit datapath.
   template <class Mul, class Acc>
   static void panel(const float* a, std::size_t lda, const float* b,
                     float* c, std::size_t ldc, std::size_t m, std::size_t kn,
-                    std::size_t jn, Mul mul, const Acc& ac) {
+                    std::size_t jn, const Mul& mul, const Acc& ac) {
+    bool split = kSplits<Mul>;
+    if (split)
+      for (std::size_t i = 0; i < kn * jn; ++i)
+        split &= (std::bit_cast<std::uint32_t>(b[i]) & ~kSignMask) != kInfBits;
     for (std::size_t r = 0; r < m; r += kPanelRows)
       panel_rows(a + r * lda, lda, b, c + r * ldc, ldc,
-                 m - r < kPanelRows ? m - r : kPanelRows, kn, jn, mul, ac);
+                 m - r < kPanelRows ? m - r : kPanelRows, kn, jn, mul, split,
+                 ac);
   }
 
   /// The panel of one multiplier with the chain's accumulator.
@@ -383,7 +600,7 @@ struct Kernels {
   static void panel_acc(const float* a, std::size_t lda, const float* b,
                         float* c, std::size_t ldc, std::size_t m,
                         std::size_t kn, std::size_t jn, const PanelChain& ch,
-                        Mul mul) {
+                        const Mul& mul) {
     if (ch.wide_block != 0)
       return panel(a, lda, b, c, ldc, m, kn, jn, mul,
                    WideAcc{ch.wide_block, ch.wide_block});
@@ -403,19 +620,15 @@ struct Kernels {
                             std::size_t kn, std::size_t jn,
                             const PanelChain& ch) {
     const V k = T::set1(ch.keep);
-    const auto run = [&](auto mul) {
+    const auto run = [&](const auto& mul) {
       panel_acc(a, lda, b, c, ldc, m, kn, jn, ch, mul);
     };
     switch (ch.mul) {
-      case PanelMul::kPrecise:
-        return run([](V x, V y) { return T::mul_ps(x, y); });
-      case PanelMul::kIfp: return run([](V x, V y) { return ifp_mul(x, y); });
-      case PanelMul::kAcfpLog:
-        return run([k](V x, V y) { return acfp_log(x, y, k); });
-      case PanelMul::kAcfpFull:
-        return run([k](V x, V y) { return acfp_full(x, y, k); });
-      case PanelMul::kTrunc:
-        return run([k](V x, V y) { return trunc_mul(x, y, k); });
+      case PanelMul::kPrecise: return run(PreciseMul{});
+      case PanelMul::kIfp: return run(SplitMul<PanelMul::kIfp>{k});
+      case PanelMul::kAcfpLog: return run(SplitMul<PanelMul::kAcfpLog>{k});
+      case PanelMul::kAcfpFull: return run(SplitMul<PanelMul::kAcfpFull>{k});
+      case PanelMul::kTrunc: return run(SplitMul<PanelMul::kTrunc>{k});
     }
   }
 

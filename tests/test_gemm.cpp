@@ -7,9 +7,11 @@
 // recipes validate their parameters strictly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
@@ -229,6 +231,115 @@ TEST(GemmBitIdentity, PanelEdgesAndSpecials) {
       }
     }
   }
+}
+
+TEST(GemmBitIdentity, PanelAOperandClasses) {
+  // The panel splits each row group's A operands once per chunk of 64 steps
+  // and runs a shared-B step on the split. Every IEEE class of A sits at
+  // each row slot of a group of 1 to 4 rows and at the first, middle and
+  // last step of a chunk, against B panels with and without zeros, NaNs and
+  // infinities; then a ReLU-sparse A at the MLP's second-layer shape.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kSub = std::numeric_limits<float>::denorm_min() * 3;
+  constexpr float kMin = std::numeric_limits<float>::min();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  const float classes[] = {0.0f, -0.0f, kSub,  -kSub, kMin, -kMin,
+                           kMax, -kMax, kInf, -kInf, kNan};
+  const char* names[] = {"+0",   "-0",   "+sub", "-sub", "+min", "-min",
+                         "+max", "-max", "+inf", "-inf", "nan"};
+  // First, middle and last steps of the three 64-step chunks of K = 130,
+  // and of the 60-step spans of a 5-step wide block.
+  const int steps[] = {0, 32, 59, 63, 64, 120, 127, 129};
+  constexpr int kN = 17, kK = 130;
+  const std::vector<std::pair<std::string, IhwConfig>> muls = {
+      {"ifp", IhwConfig::mul_only(MulMode::ImpreciseSimple, 0)},
+      {"acfp_log tr=0", IhwConfig::mul_only(MulMode::MitchellLog, 0)},
+      {"acfp_full tr=0", IhwConfig::mul_only(MulMode::MitchellFull, 0)},
+      {"acfp_full tr=4", IhwConfig::mul_only(MulMode::MitchellFull, 4)},
+      {"trunc 0", IhwConfig::mul_only(MulMode::BitTruncated, 0)},
+      {"trunc 12", IhwConfig::mul_only(MulMode::BitTruncated, 12)},
+      {"trunc 23", IhwConfig::mul_only(MulMode::BitTruncated, 23)},
+  };
+  auto accs = accum_policies();
+  // A wide block longer than a chunk re-splits A for every column vector.
+  accs.push_back({"wide_fp64 blk=80", policy(AccumMode::kWideFp64, 80)});
+
+  const auto check = [&](const std::vector<float>& A,
+                         const std::vector<float>& B, int m, int n, int k,
+                         const std::string& what) {
+    for (const auto& [mul_label, icfg] : muls) {
+      for (const auto& [acc_label, g] : accs) {
+        FpContext ctx(icfg);
+        ScopedContext scope(ctx);
+        std::vector<float> ref(std::size_t(m) * n);
+        gemm::reference(A.data(), B.data(), ref.data(), m, n, k, g);
+        for (simd::IsaLevel level :
+             {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2,
+              simd::IsaLevel::kAvx512}) {
+          simd::ScopedIsa forced(level);
+          std::vector<float> out(std::size_t(m) * n, 42.0f);
+          gemm::run(A.data(), B.data(), out.data(), m, n, k, g);
+          ASSERT_TRUE(spans_identical(out, ref))
+              << mul_label << " / " << acc_label << " M " << m << " " << what
+              << " under " << simd::kernels().name;
+        }
+      }
+    }
+  };
+
+  // Finite operands with exponents spread over 2^-24 .. 2^24, so that a
+  // product of a large B and a misread A exponent lands in the window.
+  const auto spread = [](std::size_t n, std::uint64_t seed) {
+    std::vector<float> v = inputs(n, seed);
+    std::mt19937_64 rng(seed);
+    for (auto& x : v) x = std::ldexp(x, int(rng() % 49) - 24);
+    return v;
+  };
+  // B panels: finite; with zeros and subnormals anywhere; with a NaN in a
+  // few columns (the shared-B step's select); with an infinity in the
+  // odd columns at the special steps of A, so each meets zero and nonzero
+  // A operands (inf x 0 is the unsplit step's). A NaN or an infinity
+  // decides its whole C column, so the other columns stay finite.
+  const auto b0 = spread(std::size_t(kK) * kN, 501);
+  std::vector<std::pair<std::string, std::vector<float>>> bs = {
+      {"B finite", b0}, {"B zeros", b0}, {"B NaN", b0}, {"B inf", b0}};
+  std::mt19937_64 rng(502);
+  for (auto& x : bs[1].second)
+    if (rng() % 6 == 0) x = classes[rng() % 4];
+  // A whole column of zeros and subnormals: its C elements are exactly
+  // zero, so a zero B lane misread as a tiny normal shows.
+  for (int k = 0; k < kK; ++k)
+    bs[1].second[std::size_t(k) * kN + 5] = classes[k % 4];
+  for (int j : {3, 8, 16})
+    bs[2].second[std::size_t(steps[j % 8]) * kN + j] = kNan;
+  for (int s = 0; s < 8; ++s)
+    bs[3].second[std::size_t(steps[s]) * kN + 2 * s + 1] = s % 2 ? -kInf : kInf;
+
+  // M = 1, 3 and 6 give row groups of 1, 3, 4 and 2 rows. Each class gets
+  // its own A, three steps per row, rotating with the row; the last row of
+  // a short group holds the class at every step, so a zero A operand
+  // misread as a tiny normal shows in its exactly zero C row.
+  for (int m : {1, 3, 6}) {
+    const auto base = spread(std::size_t(m) * kK, 505 + m);
+    for (std::size_t c = 0; c < std::size(classes); ++c) {
+      std::vector<float> A = base;
+      for (int r = 0; r < m; ++r)
+        for (int t = 0; t < 3; ++t)
+          A[std::size_t(r) * kK + steps[(r + 3 * t) % 8]] = classes[c];
+      if (m > 1) std::fill_n(&A[std::size_t(m - 1) * kK], kK, classes[c]);
+      for (const auto& [blabel, B] : bs)
+        check(A, B, m, kN, kK, std::string("A ") + names[c] + " x " + blabel);
+    }
+  }
+
+  // The MLP's second layer: ReLU activations (about half +0) times a
+  // 10-class weight panel, a ragged column tail at every vector width.
+  constexpr int kM2 = 37, kN2 = 10, kK2 = 96;
+  auto h = inputs(std::size_t(kM2) * kK2, 510);
+  for (auto& x : h) x = std::max(x, 0.0f);
+  check(h, inputs(std::size_t(kK2) * kN2, 511), kM2, kN2, kK2,
+        "ReLU-sparse A");
 }
 
 TEST(GemmBitIdentity, DegenerateShapesAndTiles) {

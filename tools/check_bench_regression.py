@@ -58,8 +58,8 @@ checked; every *result* field of every row must still match the reference
 exactly, and the resumed health must report at least one journal replay.
 
 --serve mode gates the evaluation daemon (DESIGN.md §13) from one
-BENCH_pr6.json written by bench/serve_loadgen: the warm phase (every point
-already in the process-wide cache) must beat the cold phase by at least
+bench_serve_gate.json written by bench/serve_loadgen: the warm phase (every
+point already in the process-wide cache) must beat the cold phase by at least
 --min-speedup (default 5x, machine-independent because both phases run in
 the same process against the same socket), the coalesced burst must have
 performed exactly one store / one evaluation (single-flight dedup), and
