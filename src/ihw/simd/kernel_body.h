@@ -285,12 +285,13 @@ struct Kernels {
   // the split: a step splits b alone, once for all the rows, and joins it
   // with each row's broadcast A fields (SplitMul::mul). A zero or subnormal
   // operand stays on that step through its exponent term kZeroExp, and a B
-  // NaN lane is one select. A chunk whose A operands hold an inf or NaN, and
-  // a B panel that holds an infinity (inf x 0 needs both operands' classes),
-  // run the unsplit datapath on the broadcast A operand instead, which is
-  // also the precise multiplier's only step. Each C element still runs its
-  // own chain with k ascending, so the panel matches any other schedule of
-  // the same chain bit for bit.
+  // NaN lane is one select. A chunk whose A operands hold an inf or NaN, a B
+  // panel that holds an infinity (inf x 0 needs both operands' classes), and
+  // a wide accumulator whose block is longer than a chunk (C stays in
+  // registers over the whole panel) run the unsplit datapath on the
+  // broadcast A operand instead, which is also the precise multiplier's only
+  // step. Each C element still runs its own chain with k ascending, so the
+  // panel matches any other schedule of the same chain bit for bit.
 
   static constexpr std::size_t kPanelRows = 4, kPanelChunk = 64;
 
@@ -447,7 +448,8 @@ struct Kernels {
       return r.c;
     }
     /// Steps between stores of a row: whole blocks, where the fp64 sums
-    /// are empty, within a chunk, else the whole panel of kn steps.
+    /// are empty, within a chunk, else the whole panel of kn steps, which
+    /// runs the unsplit datapath.
     std::size_t span(std::size_t kn) const {
       return blk <= kPanelChunk ? kPanelChunk - kPanelChunk % blk : kn;
     }
@@ -543,9 +545,9 @@ struct Kernels {
     const std::size_t span = proto.span(kn);
     for (std::size_t s0 = 0; s0 < kn; s0 += span) {
       const std::size_t se = kn - s0 < span ? kn : s0 + span;
-      const bool once = se - s0 <= kPanelChunk;
-      const AChunk* ap =
-          split && once ? split_a(arow, s0, se - s0, mul, at) : nullptr;
+      const AChunk* ap = split && se - s0 <= kPanelChunk
+                             ? split_a(arow, s0, se - s0, mul, at)
+                             : nullptr;
       for (std::size_t j = 0; j < jn; j += W) {
         const bool tail = jn - j < W;
         const std::size_t bytes = (tail ? jn - j : W) * sizeof(float);
@@ -560,7 +562,6 @@ struct Kernels {
           rows[r] = Acc::begin(T::load(cv[r]));
         for (std::size_t k0 = s0; k0 < se; k0 += kPanelChunk) {
           const std::size_t n = se - k0 < kPanelChunk ? se - k0 : kPanelChunk;
-          if (split && !once) ap = split_a(arow, k0, n, mul, at);
           const float* bv = b + k0 * jn + j;
           std::size_t ldb = jn;
           if (tail) {

@@ -80,10 +80,9 @@ struct Avx2 {
 
   /// 24x24 -> 48-bit significand product, normalized: shifted right by FB,
   /// or by FB + 1 in the lanes where it reaches 2^(2*FB+1) (*cin = -1
-  /// there); callers read only the low FB bits, the fraction. vpmuludq on
-  /// the even and on the odd 32-bit lanes gives two 4 x 64-bit products;
-  /// the shift runs on 64-bit lanes and the halves recombine into 32-bit
-  /// lanes.
+  /// there). vpmuludq on the even and on the odd 32-bit lanes gives two
+  /// 4 x 64-bit products; the shift runs on 64-bit lanes and the halves
+  /// recombine into 32-bit lanes.
   IHW_SHIM V mul48(V a, V b, V* cin) {
     const V pe = _mm256_mul_epu32(a, b);
     const V po =

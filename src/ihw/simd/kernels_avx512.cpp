@@ -83,17 +83,24 @@ struct Avx512 {
 
   /// 24x24 -> 48-bit significand product, normalized: shifted right by FB,
   /// or by FB + 1 in the lanes where it reaches 2^(2*FB+1) (*cin = -1
-  /// there); only the low FB bits, the fraction, are defined. That fraction
-  /// is the float product of 1.fa and 1.fb rounded toward zero: the exact
-  /// product lies in [1, 4), so the rounding drops exactly the bits below
-  /// the shift, and its exponent field is kBias + 1 where it carries.
+  /// there). vpmuludq on the even and on the odd 32-bit lanes gives two
+  /// 8 x 64-bit products; the shift runs on 64-bit lanes, the halves
+  /// recombine into 32-bit lanes, and movm (DQ) turns the carry masks back
+  /// into lane vectors.
   IHW_SHIM V mul48(V a, V b, V* cin) {
-    const V one = set1(0x3F000000u);  // hidden | frac -> bits of 1.frac
-    const V p = _mm512_castps_si512(_mm512_mul_round_ps(
-        _mm512_castsi512_ps(or_(a, one)), _mm512_castsi512_ps(or_(b, one)),
-        _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC));
-    *cin = sub(set1(kBias), srli(p, FB));
-    return p;
+    const V pe = _mm512_mul_epu32(a, b);
+    const V po =
+        _mm512_mul_epu32(_mm512_srli_epi64(a, 32), _mm512_srli_epi64(b, 32));
+    const V thr = _mm512_set1_epi64((std::int64_t{1} << (2 * FB + 1)) - 1);
+    const __mmask8 ce = _mm512_cmpgt_epi64_mask(pe, thr);
+    const __mmask8 co = _mm512_cmpgt_epi64_mask(po, thr);
+    const V sh = _mm512_set1_epi64(FB), sh1 = _mm512_set1_epi64(FB + 1);
+    const V fe = _mm512_srlv_epi64(pe, _mm512_mask_blend_epi64(ce, sh, sh1));
+    const V fo = _mm512_srlv_epi64(po, _mm512_mask_blend_epi64(co, sh, sh1));
+    const V low32 = _mm512_set1_epi64(0xFFFFFFFFll);
+    *cin = or_(and_(_mm512_movm_epi64(ce), low32),
+               _mm512_slli_epi64(_mm512_movm_epi64(co), 32));
+    return or_(and_(fe, low32), _mm512_slli_epi64(fo, 32));
   }
 
   /// Precise float add of the lane bit patterns; *nan flags NaN sums.

@@ -262,7 +262,7 @@ TEST(GemmBitIdentity, PanelAOperandClasses) {
       {"trunc 23", IhwConfig::mul_only(MulMode::BitTruncated, 23)},
   };
   auto accs = accum_policies();
-  // A wide block longer than a chunk re-splits A for every column vector.
+  // A wide block longer than a chunk runs the unsplit datapath throughout.
   accs.push_back({"wide_fp64 blk=80", policy(AccumMode::kWideFp64, 80)});
 
   const auto check = [&](const std::vector<float>& A,
