@@ -107,17 +107,22 @@ template <auto Lane, typename... A>
 /// the larger operand, and one at or above 2^(emax+1-bias) saturates to its
 /// signed infinity.
 ///
-/// binary32: the cut operands span at most th + 2 <= 29 bits, so their sum
-/// in double is exact; clearing the double's low 29 significand bits
-/// truncates it to 24, after which the conversion back to float is exact
-/// (or +-inf above the float range, or a subnormal to flush).
+/// th <= FB - 1, either format: both cut operands are multiples of
+/// 2^(E-th) below 2^(E+1) in magnitude, so their sum has at most th + 2 <=
+/// FB + 1 significant bits and the format's own round-to-nearest add is
+/// exact (+-inf where it reaches 2^(emax+1-bias)). Only the flush remains.
 ///
-/// binary64: the sum may need th + 2 <= 58 bits. Both cut operands move
-/// next to the bias (the larger exponent becomes the bias) by one integer
-/// subtract, where neither the rounded sum nor its TwoSum error term can
-/// leave the normal range. The error term is nonzero with the opposite sign
-/// exactly when round-to-nearest went away from zero; the result then steps
-/// one ulp toward zero and moves back by the same subtract, with its
+/// binary32, th >= FB: the cut operands span at most th + 2 <= 29 bits, so
+/// their sum in double is exact; clearing the double's low 29 significand
+/// bits truncates it to 24, after which the conversion back to float is
+/// exact (or +-inf above the float range, or a subnormal to flush).
+///
+/// binary64, th >= FB: the sum may need th + 2 <= 58 bits. Both cut operands
+/// move next to the bias (the larger exponent becomes the bias) by one
+/// integer subtract, where neither the rounded sum nor its TwoSum error term
+/// can leave the normal range. The error term is nonzero with the opposite
+/// sign exactly when round-to-nearest went away from zero; the result then
+/// steps one ulp toward zero and moves back by the same subtract, with its
 /// exponent checked against the range.
 ///
 /// Every shift count is clamped into the word; operand pairs outside the
@@ -139,14 +144,19 @@ inline fp::BitsOf<T> ifp_add_core(fp::BitsOf<T> ab, fp::BitsOf<T> bb,
   };
   const B at = cut(ab, ea), bt = cut(bb, eb);
 
+  // A sum below the normal range flushes to its signed zero.
+  const auto flush = [](B x) {
+    return exp_field<T>(x) == 0 ? (x & Tr::sign_mask) : x;
+  };
   B r;
-  if constexpr (std::is_same_v<T, float>) {
+  if (th <= FB - 1) {
+    r = flush(fp::to_bits(fp::from_bits<T>(at) + fp::from_bits<T>(bt)));
+  } else if constexpr (std::is_same_v<T, float>) {
     const double s = static_cast<double>(fp::from_bits<float>(at)) +
                      static_cast<double>(fp::from_bits<float>(bt));
     const std::uint64_t rz =
         std::bit_cast<std::uint64_t>(s) & (~std::uint64_t{0} << 29);
-    r = fp::to_bits(static_cast<float>(std::bit_cast<double>(rz)));
-    r = exp_field<T>(r) == 0 ? (r & Tr::sign_mask) : r;
+    r = flush(fp::to_bits(static_cast<float>(std::bit_cast<double>(rz))));
   } else {
     const B shift = (static_cast<B>(e) - Tr::bias) << FB;
     const T x = fp::from_bits<T>(at - shift), y = fp::from_bits<T>(bt - shift);

@@ -13,7 +13,7 @@
 // the lane vector V, the compare-result type M and about 25 always-inline
 // intrinsic wrappers:
 //
-//   load store set1 and_ or_ xor_ add sub srli slli srlv sllv max abs
+//   load store set1 and_ or_ xor_ add sub srli slli srlv sllv max min
 //   eq gt mand mor mandnot none sel zero_if add_carry ps_bits mul48
 //   add_ps mul_ps add_cut seg_dp, and kLanes (lanes per V)
 //
@@ -221,27 +221,40 @@ struct Kernels {
 
   // --- ifp_add --------------------------------------------------------------
 
-  /// lanes::ifp_add_lane op for op, less the lane's clamp of the cut-mask
-  /// shift count to 31: a count of 31 or more needs d >= th + 8, and those
-  /// lanes take the `larger` select either way.
+  /// lanes::ifp_add_lane op for op. kExact is the lane's th <= FB - 1
+  /// path: the cut operands add exactly in float, and the cut counts FB -
+  /// th + d are at least 1. Otherwise the counts are clamped at 0 and
+  /// add_cut adds in double. Neither clamps a count to 31 as the lane does:
+  /// a count of 31 or more needs d >= th + 8, and those lanes take the
+  /// `larger` select either way.
+  template <bool kExact>
   static V ifp_add(V ab, V bb, int th) {
     const V zero = T::set1(0), expm = T::set1(kExpMask);
     const V signm = T::set1(kSignMask);
     const V ea = T::and_(T::srli(ab, FB), expm);
     const V eb = T::and_(T::srli(bb, FB), expm);
-    const V e = T::max(ea, eb);
+    const V e = T::max(ea, eb), lo = T::min(ea, eb);
     const V ones = T::set1(~0u), base = T::add(e, T::set1(FB - th));
-    const V at = T::and_(ab, T::sllv(ones, T::max(T::sub(base, ea), zero)));
-    const V bt = T::and_(bb, T::sllv(ones, T::max(T::sub(base, eb), zero)));
-    V r = T::add_cut(at, bt);
+    const auto cut = [&](V x, V ex) {
+      const V n = T::sub(base, ex);
+      return T::and_(x, T::sllv(ones, kExact ? n : T::max(n, zero)));
+    };
+    const V at = cut(ab, ea), bt = cut(bb, eb);
+    M nan;
+    V r = kExact ? T::add_ps(at, bt, &nan) : T::add_cut(at, bt);
+    r = T::sel(r, T::sel(bb, ab, T::gt(ea, eb)),
+               T::gt(T::sub(e, lo), T::set1(th - 1)));
+    // A vector whose lanes all have min(ea, eb) >= th + 1 and max(ea, eb)
+    // < 255 has no zero, subnormal, inf or NaN operand, and each nonzero
+    // cut sum is a multiple of 2^(e - bias - th) >= 2^-126: normal, so it
+    // needs neither the flush nor the chain.
+    if (T::none(T::mor(T::gt(T::set1(th + 1), lo), T::eq(e, expm))))
+        [[likely]]
+      return r;
+    // The flush; a lane that took `larger` has a nonzero field there.
     r = T::sel(r, T::and_(r, signm),
                T::eq(T::and_(r, T::set1(kInfBits)), zero));
-    r = T::sel(r, T::sel(bb, ab, T::gt(ea, eb)),
-               T::gt(T::abs(T::sub(ea, eb)), T::set1(th - 1)));
-    // The lane's zero, inf and NaN chain, only for a vector that has one.
     const M az = T::eq(ea, zero), bz = T::eq(eb, zero);
-    if (T::none(T::mor(T::mor(az, bz), T::eq(e, expm)))) [[likely]]
-      return r;
     const Fields A = fields(ab), B = fields(bb);
     const V sa = T::and_(ab, signm), sb = T::and_(bb, signm);
     const V qnan = T::set1(kQnanBits);
@@ -257,29 +270,42 @@ struct Kernels {
 
   // --- fused multiply-accumulate --------------------------------------------
 
-  /// Accumulation stage of the fused kernels (mirrors detail::acc_lane in
-  /// batch.h): TH-adder when th >= 1, else a precise float add whose result
-  /// is masked by acc_keep with NaN sums canonicalized to qNaN.
-  static V acc(V pb, V cb, int th, V acc_keep) {
-    if (th >= 1) return ifp_add(pb, cb, th);
+  /// The precise accumulation stage of the fused kernels (detail::acc_lane
+  /// in batch.h with th < 1): a float add whose result is masked by
+  /// acc_keep, NaN sums canonicalized to qNaN.
+  static V add_keep(V pb, V cb, V acc_keep) {
     M nan;
     const V s = T::add_ps(pb, cb, &nan);
     return T::sel(T::and_(s, acc_keep), T::set1(kQnanBits), nan);
   }
 
-  /// out = acc(mul(a, b), c) for one multiplier datapath `mul`.
+  /// Calls f with the fused kernels' accumulation stage (detail::acc_lane)
+  /// as a step add(p, c), resolved once per span or panel: the TH adder when
+  /// th >= 1, on its exact path when th <= FB - 1, else add_keep.
+  template <class F>
+  static void with_acc(int th, std::uint32_t acc_keep, F&& f) {
+    if (th >= FB)
+      return f([th](V p, V c) { return ifp_add<false>(p, c, th); });
+    if (th >= 1) return f([th](V p, V c) { return ifp_add<true>(p, c, th); });
+    const V keep = T::set1(acc_keep);
+    f([keep](V p, V c) { return add_keep(p, c, keep); });
+  }
+
+  /// out = add(mul(a, b), c) for one multiplier datapath `mul`, with_acc's
+  /// stage `add`.
   template <class Mul>
   static void mac(const float* a, const float* b, const float* c, float* out,
                   std::size_t n, int th, std::uint32_t acc_keep, Mul mul) {
-    const V akeep = T::set1(acc_keep);
-    drive(out, n, [&](V x, V y, V z) { return acc(mul(x, y), z, th, akeep); },
-          a, b, c);
+    with_acc(th, acc_keep, [&](auto add) {
+      drive(out, n, [&](V x, V y, V z) { return add(mul(x, y), z); }, a, b,
+            c);
+    });
   }
 
   // --- GEMM panel: C rows in registers across the k loop --------------------
   // A block of kPanelRows C rows runs one column vector at a time. Each k
   // step loads one B vector, shares it across the rows and advances every
-  // row's chain by acc(mul(A[r,k], b), c_r). An imprecise multiplier splits
+  // row's chain by add(mul(A[r,k], b), c_r). An imprecise multiplier splits
   // the row group's A operands into their fields once per chunk of at most
   // kPanelChunk steps (AChunk), and every column vector of the chunk reuses
   // the split: a step splits b alone, once for all the rows, and joins it
@@ -434,7 +460,7 @@ struct Kernels {
       r.hi = T::addd(r.hi, phi);
     }
     static void fold(Row& r) {
-      r.c = acc(T::narrow2(r.lo, r.hi), r.c, 0, T::set1(~0u));
+      r.c = add_keep(T::narrow2(r.lo, r.hi), r.c, T::set1(~0u));
       r.lo = r.hi = T::set1d(0.0);
     }
     template <std::size_t R>
@@ -605,15 +631,9 @@ struct Kernels {
     if (ch.wide_block != 0)
       return panel(a, lda, b, c, ldc, m, kn, jn, mul,
                    WideAcc{ch.wide_block, ch.wide_block});
-    if (ch.th >= 1) {
-      const int th = ch.th;
-      const auto add = [th](V p, V x) { return ifp_add(p, x, th); };
-      return panel(a, lda, b, c, ldc, m, kn, jn, mul,
-                   StepAcc<decltype(add)>{add});
-    }
-    const V akeep = T::set1(ch.acc_keep);
-    const auto add = [akeep](V p, V x) { return acc(p, x, 0, akeep); };
-    panel(a, lda, b, c, ldc, m, kn, jn, mul, StepAcc<decltype(add)>{add});
+    with_acc(ch.th, ch.acc_keep, [&](auto add) {
+      panel(a, lda, b, c, ldc, m, kn, jn, mul, StepAcc<decltype(add)>{add});
+    });
   }
 
   static void mac_panel_f32(const float* a, std::size_t lda, const float* b,
@@ -802,8 +822,9 @@ struct Kernels {
   static void ifp_add_f32(const float* a, const float* b, float* out,
                           std::size_t n, int th, std::uint32_t flip) {
     const V f = T::set1(flip);
-    drive(out, n, [&](V x, V y) { return ifp_add(x, T::xor_(y, f), th); },
-          a, b);
+    with_acc(th, ~0u, [&](auto add) {
+      drive(out, n, [&](V x, V y) { return add(x, T::xor_(y, f)); }, a, b);
+    });
   }
 
   static void ifp_mul_f32(const float* a, const float* b, float* out,

@@ -41,7 +41,7 @@ struct Avx2 {
   IHW_SHIM V srlv(V v, V n) { return _mm256_srlv_epi32(v, n); }
   IHW_SHIM V sllv(V v, V n) { return _mm256_sllv_epi32(v, n); }
   IHW_SHIM V max(V a, V b) { return _mm256_max_epi32(a, b); }
-  IHW_SHIM V abs(V v) { return _mm256_abs_epi32(v); }
+  IHW_SHIM V min(V a, V b) { return _mm256_min_epi32(a, b); }
 
   IHW_SHIM M eq(V a, V b) { return _mm256_cmpeq_epi32(a, b); }
   IHW_SHIM M gt(V a, V b) { return _mm256_cmpgt_epi32(a, b); }
@@ -64,8 +64,9 @@ struct Avx2 {
     return _mm256_castps_si256(_mm256_cvtepi32_ps(v));
   }
 
-  /// The adder's cut operands added exactly in double, cut to 24 significant
-  /// bits (the low 29 cleared) and narrowed back to float, by 4-lane halves.
+  /// The adder's cut operands at th >= 23 added exactly in double, cut to
+  /// 24 significant bits (the low 29 cleared) and narrowed back to float,
+  /// by 4-lane halves.
   IHW_SHIM V add_cut(V a, V b) {
     const auto half = [](__m128i x, __m128i y) {
       const __m256d s = _mm256_add_pd(_mm256_cvtps_pd(_mm_castsi128_ps(x)),

@@ -37,7 +37,7 @@ struct Avx512 {
   IHW_SHIM V srlv(V v, V n) { return _mm512_srlv_epi32(v, n); }
   IHW_SHIM V sllv(V v, V n) { return _mm512_sllv_epi32(v, n); }
   IHW_SHIM V max(V a, V b) { return _mm512_max_epi32(a, b); }
-  IHW_SHIM V abs(V v) { return _mm512_abs_epi32(v); }
+  IHW_SHIM V min(V a, V b) { return _mm512_min_epi32(a, b); }
 
   IHW_SHIM M eq(V a, V b) { return _mm512_cmpeq_epi32_mask(a, b); }
   IHW_SHIM M gt(V a, V b) { return _mm512_cmpgt_epi32_mask(a, b); }
@@ -65,8 +65,9 @@ struct Avx512 {
     return _mm512_castps_si512(_mm512_cvtepi32_ps(v));
   }
 
-  /// The adder's cut operands added exactly in double, cut to 24 significant
-  /// bits (the low 29 cleared) and narrowed back to float, by 8-lane halves.
+  /// The adder's cut operands at th >= 23 added exactly in double, cut to
+  /// 24 significant bits (the low 29 cleared) and narrowed back to float,
+  /// by 8-lane halves.
   IHW_SHIM V add_cut(V a, V b) {
     const auto half = [](__m256i x, __m256i y) {
       const __m512d s = _mm512_add_pd(_mm512_cvtps_pd(_mm256_castsi256_ps(x)),

@@ -181,11 +181,13 @@ void adder_matches(int th) {
 }
 
 TEST(StructuralAdderMatch, Float) {
-  for (int th : {1, 2, 4, 8, 12, 16, 20, 23, 27}) adder_matches<float>(th);
+  for (int th : {1, 2, 4, 8, 12, 16, 20, 22, 23, 27})
+    adder_matches<float>(th);
 }
 
 TEST(StructuralAdderMatch, Double) {
-  for (int th : {1, 4, 8, 16, 23, 33, 45, 52, 56}) adder_matches<double>(th);
+  for (int th : {1, 4, 8, 16, 23, 33, 45, 50, 51, 52, 56})
+    adder_matches<double>(th);
 }
 
 /// IEEE-754 sum-of-zeros sign, subnormals flushed first: -0 only when both

@@ -87,6 +87,11 @@ const std::vector<std::pair<std::string, GemmConfig>>& accum_policies() {
       {"fp32", policy(AccumMode::kFp32, 0)},
       {"fp32_trunc tr=6", policy(AccumMode::kFp32Trunc, 6)},
       {"ifp_add th=8", policy(AccumMode::kIfpAdd, 8)},
+      // The last TH of the adder's exact float add, and the first two and
+      // the last of its double path.
+      {"ifp_add th=22", policy(AccumMode::kIfpAdd, 22)},
+      {"ifp_add th=23", policy(AccumMode::kIfpAdd, 23)},
+      {"ifp_add th=27", policy(AccumMode::kIfpAdd, 27)},
       // TH below the datapath floor reads as TH=1 on every path.
       {"ifp_add th=0", policy(AccumMode::kIfpAdd, 0)},
       {"ifp_add th=-3", policy(AccumMode::kIfpAdd, -3)},

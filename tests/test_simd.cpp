@@ -99,7 +99,7 @@ void cross_check_units(IsaLevel level, const std::vector<float>& a,
   const std::size_t n = a.size();
   LevelCheck check{level, a, b};
 
-  for (int th : {1, 8, 23, 27}) {
+  for (int th : {1, 8, 22, 23, 27}) {
     check("ifp_add_n", [&](float* out) {
       batch::ifp_add_n(a.data(), b.data(), out, n, th);
     });
@@ -135,7 +135,7 @@ void cross_check_units(IsaLevel level, const std::vector<float>& a,
       mac(out, out);
     });
   };
-  for (int th : {0, 1, 8, 27}) {
+  for (int th : {0, 1, 8, 22, 27}) {
     for (int acc_trunc : {0, 13}) {
       check_mac("ifp_mac_n", [&](const float* cc, float* out) {
         batch::ifp_mac_n(a.data(), b.data(), cc, out, n, th, acc_trunc);
@@ -271,17 +271,19 @@ float random_normal(std::mt19937_64& rng, std::uint32_t lo, std::uint32_t hi) {
 }
 
 /// Each (a, b) pair alone in a kBlock-lane block, once at every lane
-/// position: the other lanes hold random normal pairs, so every vector of
-/// either width has at most that one lane off the adder's normal path.
+/// position: the other lanes hold random normal pairs with exponent fields
+/// of at least `lo`, so every vector of either width has at most that one
+/// lane off the adder's normal path (for th < lo, off its fast path).
 std::pair<std::vector<float>, std::vector<float>> one_pair_per_block(
-    const std::vector<std::pair<float, float>>& pairs, std::uint64_t seed) {
+    const std::vector<std::pair<float, float>>& pairs, std::uint64_t seed,
+    std::uint32_t lo = 1) {
   std::mt19937_64 rng(seed);
   std::pair<std::vector<float>, std::vector<float>> spans;
   for (const auto& [x, y] : pairs) {
     for (std::size_t k = 0; k < kBlock; ++k) {
       for (std::size_t i = 0; i < kBlock; ++i) {
-        spans.first.push_back(i == k ? x : random_normal(rng, 1, 254));
-        spans.second.push_back(i == k ? y : random_normal(rng, 1, 254));
+        spans.first.push_back(i == k ? x : random_normal(rng, lo, 254));
+        spans.second.push_back(i == k ? y : random_normal(rng, lo, 254));
       }
     }
   }
@@ -383,6 +385,62 @@ TEST(SimdAdder, NarrowingBoundaries) {
   }
   const auto [a, b] = one_pair_per_block(pairs, 12);
   cross_check_adder(a, b, {1, 8, 23, 24, 25, 26, 27});
+}
+
+/// Operand pairs with both exponent fields in [1, th + 2] whose exact cut
+/// sum -- each operand truncated to a multiple of 2^(E-th), E the larger
+/// operand's exponent -- is subnormal, exactly 2^-126 or zero, each alone
+/// among lanes with fields >= 30 at every lane position. Only the lanes
+/// with min(ea, eb) <= th have such sums below 2^-126, so this pins the
+/// bound th + 1 of the adder kernel's whole-vector fast test: a vector that
+/// took the fast path with one of them would return the unflushed sum. The
+/// scalar unit's value is pinned too: +-0 for a subnormal sum, the sum
+/// itself at 2^-126, +0 for an exact cancellation.
+TEST(SimdAdder, TinyExponentSums) {
+  for (int th : {1, 8, 22}) {
+    SCOPED_TRACE(th);
+    std::mt19937_64 rng(31 + th);
+    const auto cut_sum = [th](float x, float y) {
+      const int e = std::max(std::ilogb(x), std::ilogb(y));
+      const double u = std::ldexp(1.0, e - th);
+      return std::trunc(x / u) * u + std::trunc(y / u) * u;
+    };
+    std::vector<std::pair<float, float>> pairs;
+    int subnormal = 0, smallest = 0, zero = 0;
+    while (subnormal < 24 || smallest < 4 || zero < 8) {
+      // y is -x moved by a few units of the cut and by noise below it, its
+      // exponent field at most one off x's.
+      const auto ex = static_cast<std::uint32_t>(1 + rng() % (th + 2));
+      const float x = random_normal(rng, ex, ex);
+      const auto xb = fp::to_bits(x) & 0x7FFFFFFFu;
+      const std::uint32_t unit = 1u << (23 - th);
+      const std::uint32_t move = static_cast<std::uint32_t>(rng() % 4) * unit;
+      const std::uint32_t noise = static_cast<std::uint32_t>(rng()) % unit;
+      const std::uint32_t yb =
+          rng() % 2 ? xb + move + noise : xb - move - noise;
+      const auto ey = (yb >> 23) & 0xFFu;
+      if (ey < 1 || ey > static_cast<std::uint32_t>(th) + 2) continue;
+      const float y = -std::copysign(fp::from_bits<float>(yb), x);
+      if (std::abs(std::ilogb(x) - std::ilogb(y)) >= th) continue;  // larger
+      const double s = cut_sum(x, y);
+      const float want = std::abs(s) < 0x1p-126 ? std::copysign(0.0f, s)
+                                                : static_cast<float>(s);
+      if (s == 0) {
+        ++zero;
+      } else if (std::abs(s) == 0x1p-126) {
+        ++smallest;
+      } else if (std::abs(s) < 0x1p-126) {
+        ++subnormal;
+      } else {
+        continue;
+      }
+      EXPECT_TRUE(same_bits(ifp_add(x, y, th), want))
+          << x << " + " << y << " -> " << ifp_add(x, y, th);
+      pairs.emplace_back(x, y);
+    }
+    const auto [a, b] = one_pair_per_block(pairs, 40 + th, 30);
+    cross_check_adder(a, b, {th});
+  }
 }
 
 // --- the rsqrt segment over every fraction ----------------------------------
