@@ -55,31 +55,4 @@ u128 mitchell_mul(std::uint64_t a, std::uint64_t b) {
   return mitchell_mul_traced(a, b, nullptr);
 }
 
-u128 mitchell_div(std::uint64_t a, std::uint64_t b) {
-  assert(b != 0);
-  if (a == 0) return 0;
-  const int k1 = leading_one(a);
-  const int k2 = leading_one(b);
-  assert(k1 <= kMaFracBits && k2 <= kMaFracBits);
-
-  const u128 x1 = static_cast<u128>(a - (1ull << k1)) << (kMaFracBits - k1);
-  const u128 x2 = static_cast<u128>(b - (1ull << k2)) << (kMaFracBits - k2);
-
-  // log(a/b) ~ (k1 + x1) - (k2 + x2); a fraction borrow decrements the
-  // characteristic, mirroring the multiplier's carry.
-  int k = k1 - k2;
-  u128 f;
-  if (x1 >= x2) {
-    f = x1 - x2;
-  } else {
-    f = (static_cast<u128>(1) << kMaFracBits) + x1 - x2;
-    k -= 1;
-  }
-  // Antilog at scale 2^kMaFracBits: result = 2^(k+kMaFracBits) * (1 + f).
-  const u128 antilog = (static_cast<u128>(1) << kMaFracBits) + f;
-  if (k >= 0) return antilog << k;
-  if (-k >= 127) return 0;
-  return antilog >> -k;
-}
-
 }  // namespace ihw::arith

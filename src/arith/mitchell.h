@@ -36,13 +36,6 @@ u128 mitchell_mul(std::uint64_t a, std::uint64_t b);
 /// Same, but also reports the datapath trace.
 u128 mitchell_mul_traced(std::uint64_t a, std::uint64_t b, MitchellTrace* trace);
 
-/// Approximates floor-scaled a/b with Mitchell's algorithm (the division
-/// mode of the same log-domain datapath: subtract the logs, take the
-/// antilog). Returns the approximate quotient scaled by 2^kMaFracBits so
-/// sub-unity quotients keep their fraction (caller shifts as needed).
-/// b must be nonzero; a == 0 yields 0.
-u128 mitchell_div(std::uint64_t a, std::uint64_t b);
-
 /// Exact product for reference (widening multiply).
 inline u128 exact_mul(std::uint64_t a, std::uint64_t b) {
   return static_cast<u128>(a) * static_cast<u128>(b);

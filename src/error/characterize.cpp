@@ -339,22 +339,4 @@ std::vector<CharResult> characterize64_many(const std::vector<CharRequest>& reqs
   return run_many<double>(reqs, samples);
 }
 
-CharResult characterize_custom(
-    const std::string& label, std::uint64_t samples,
-    const std::function<void(double*, double*)>& gen,
-    const std::function<double(double, double)>& op,
-    const std::function<double(double, double)>& ref) {
-  CharResult res{label, {}, ErrorPmf{}};
-  for (std::uint64_t i = 0; i < samples; ++i) {
-    double a = 0.0, b = 0.0;
-    gen(&a, &b);
-    const double exact = ref(a, b);
-    const double approx = op(a, b);
-    res.stats.observe(exact, approx);
-    if (exact != 0.0 && std::isfinite(exact))
-      res.pmf.observe_rel_error(std::fabs(approx - exact) / std::fabs(exact));
-  }
-  return res;
-}
-
 }  // namespace ihw::error

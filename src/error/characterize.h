@@ -2,7 +2,6 @@
 // Quasi-Monte-Carlo error characterization driver (Ch. 4.2): feeds an
 // imprecise unit a low-discrepancy stream of operands and accumulates both
 // streaming statistics and the Figs. 8-9 log2-bucketed PMF.
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -63,13 +62,5 @@ std::vector<CharResult> characterize32_many(const std::vector<CharRequest>& reqs
                                             std::uint64_t samples);
 std::vector<CharResult> characterize64_many(const std::vector<CharRequest>& reqs,
                                             std::uint64_t samples);
-
-/// Generic driver: op/ref are the approximate and exact implementations of a
-/// two-operand function; `gen` yields operand pairs.
-CharResult characterize_custom(
-    const std::string& label, std::uint64_t samples,
-    const std::function<void(double*, double*)>& gen,
-    const std::function<double(double, double)>& op,
-    const std::function<double(double, double)>& ref);
 
 }  // namespace ihw::error

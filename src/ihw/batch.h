@@ -18,7 +18,8 @@
 // What is vectorized: every multiplier lane (ifp_mul, both Mitchell paths,
 // trunc_mul) and the ifp_add lane are pure integer select chains (the
 // scalar-ish steps are std::bit_width leading-one searches); float
-// trunc_mul widens to 64-bit products which GCC vectorizes with vpmuludq.
+// trunc_mul's lane widens to 64-bit products, while its SIMD kernels take
+// the same bits from one float multiply of 1.fa x 1.fb rounded toward zero.
 //
 // Runtime ISA dispatch (DESIGN.md §15): each float span wrapper first
 // consults the active simd::KernelTable; a non-null entry is a hand-

@@ -14,7 +14,7 @@
 // intrinsic wrappers:
 //
 //   load store set1 and_ or_ xor_ add sub srli slli srlv sllv max min
-//   eq gt mand mor mandnot none sel zero_if add_carry ps_bits mul48
+//   eq gt mand mor mandnot none sel zero_if add_carry ps_bits mul_rz
 //   add_ps mul_ps add_cut seg_dp, and kLanes (lanes per V)
 //
 // and, for the double-precision work (relax_row_f64 and the wide GEMM
@@ -49,6 +49,7 @@ constexpr std::uint32_t kExpMask = 0xFFu;
 constexpr std::uint32_t kFracMask = 0x7FFFFFu;
 constexpr std::uint32_t kSignMask = 0x80000000u;
 constexpr std::uint32_t kHidden = 0x800000u;
+constexpr std::uint32_t kOneBits = 0x3F800000u;  // 1.0f
 constexpr std::uint32_t kInfBits = 0x7F800000u;
 constexpr std::uint32_t kQnanBits = 0x7FC00000u;
 constexpr int kBias = 127;
@@ -136,12 +137,19 @@ struct Kernels {
     return core_result(sign, T::add_carry(e, cin), frac);
   }
 
-  /// Core of trunc_mul from the two 24-bit significands ma and mb.
-  static V trunc_core(V sign, V e, V ma, V mb, V keep) {
-    V cin;  // -1 in the lanes whose product carries
-    V frac = T::mul48(ma, mb, &cin);
-    frac = T::and_(T::and_(frac, T::set1(kFracMask)), keep);
-    return core_result(sign, T::sub(e, cin), frac);
+  /// A fraction field as the bits of the float 1.f, trunc_core's operand.
+  static V one_f(V f) { return T::or_(f, T::set1(kOneBits)); }
+
+  /// Core of trunc_mul from the two significands as the bits of 1.fa and
+  /// 1.fb (one_f). Their product rounded toward zero keeps exactly the 24
+  /// significant bits of the 48-bit significand product that the lane's
+  /// shift by FB, or FB + 1 where it carries, keeps; its exponent field less
+  /// the bias is the carry.
+  static V trunc_core(V sign, V e, V xa, V xb, V keep) {
+    const V p = T::mul_rz(xa, xb);
+    const V frac = T::and_(T::and_(p, T::set1(kFracMask)), keep);
+    return core_result(
+        sign, T::add(e, T::sub(T::srli(p, FB), T::set1(kBias))), frac);
   }
 
   // --- ifp_mul, acfp_mul (Mitchell log and full paths), trunc_mul -----------
@@ -212,11 +220,9 @@ struct Kernels {
   static V trunc_mul(V ab, V bb, V keep) {
     const Fields A = fields(ab), B = fields(bb);
     const V sign = sign_of(ab, bb);
-    const V hidden = T::set1(kHidden);
     return mul_specials(sign, A, B,
-                        trunc_core(sign, exp_sum(A, B),
-                                   T::or_(flushed(A), hidden),
-                                   T::or_(flushed(B), hidden), keep));
+                        trunc_core(sign, exp_sum(A, B), one_f(flushed(A)),
+                                   one_f(flushed(B)), keep));
   }
 
   // --- ifp_add --------------------------------------------------------------
@@ -382,7 +388,7 @@ struct Kernels {
       t.top = T::eq(e, T::set1(kExpMask));
       if constexpr (kMul == PanelMul::kIfp) t.sig = f;
       else if constexpr (kMul == PanelMul::kTrunc)
-        t.sig = T::or_(f, T::set1(kHidden));
+        t.sig = one_f(f);
       else t.sig = T::and_(f, keep);
       if constexpr (kMul == PanelMul::kAcfpFull) t.cross = cross_half(t.sig);
       return t;

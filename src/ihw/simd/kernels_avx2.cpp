@@ -79,24 +79,16 @@ struct Avx2 {
         half(_mm256_castsi256_si128(a), _mm256_castsi256_si128(b))));
   }
 
-  /// 24x24 -> 48-bit significand product, normalized: shifted right by FB,
-  /// or by FB + 1 in the lanes where it reaches 2^(2*FB+1) (*cin = -1
-  /// there). vpmuludq on the even and on the odd 32-bit lanes gives two
-  /// 4 x 64-bit products; the shift runs on 64-bit lanes and the halves
-  /// recombine into 32-bit lanes.
-  IHW_SHIM V mul48(V a, V b, V* cin) {
-    const V pe = _mm256_mul_epu32(a, b);
-    const V po =
-        _mm256_mul_epu32(_mm256_srli_epi64(a, 32), _mm256_srli_epi64(b, 32));
-    const V thr = _mm256_set1_epi64x((std::int64_t{1} << (2 * FB + 1)) - 1);
-    const V ce = _mm256_cmpgt_epi64(pe, thr);
-    const V co = _mm256_cmpgt_epi64(po, thr);
-    const V sh = _mm256_set1_epi64x(FB), sh1 = _mm256_set1_epi64x(FB + 1);
-    const V fe = _mm256_srlv_epi64(pe, sel(sh, sh1, ce));
-    const V fo = _mm256_srlv_epi64(po, sel(sh, sh1, co));
-    const V low32 = _mm256_set1_epi64x(0xFFFFFFFFll);
-    *cin = or_(and_(ce, low32), _mm256_slli_epi64(co, 32));
-    return or_(and_(fe, low32), _mm256_slli_epi64(fo, 32));
+  /// Bits of the product of the positive floats x and y, rounded toward
+  /// zero. AVX2 has no embedded rounding: r = x*y - p is exact, and the bits
+  /// of p drop by one (r >> 31) in the lanes where p rounded above x*y. A
+  /// product just below a power of two that rounded up to it comes back
+  /// down across the binade.
+  IHW_SHIM V mul_rz(V x, V y) {
+    const __m256 a = _mm256_castsi256_ps(x), b = _mm256_castsi256_ps(y);
+    const __m256 p = _mm256_mul_ps(a, b);
+    const __m256i r = _mm256_castps_si256(_mm256_fmsub_ps(a, b, p));
+    return add(_mm256_castps_si256(p), _mm256_srai_epi32(r, 31));
   }
 
   /// Precise float add of the lane bit patterns; *nan flags NaN sums.

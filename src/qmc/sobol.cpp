@@ -74,6 +74,4 @@ void Sobol::seek(std::uint64_t index) {
   index_ = index;
 }
 
-void Sobol::skip(std::uint64_t n) { seek(index_ + n); }
-
 }  // namespace ihw::qmc

@@ -36,9 +36,6 @@ class Sobol {
   /// cost of a few XORs instead of replaying the prefix.
   void seek(std::uint64_t index);
 
-  /// Skips ahead n points (seek(index + n); O(log n)).
-  void skip(std::uint64_t n);
-
  private:
   int dims_;
   std::uint64_t index_ = 0;

@@ -64,16 +64,4 @@ double psnr(const common::GridF& ref, const common::GridF& test, double peak) {
   return 10.0 * std::log10(peak * peak / m);
 }
 
-double max_rel_error(const common::GridF& ref, const common::GridF& test,
-                     double eps) {
-  assert(ref.size() == test.size());
-  double worst = 0.0;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    const double r = ref.data()[i];
-    if (std::fabs(r) <= eps) continue;
-    worst = std::max(worst, std::fabs((test.data()[i] - r) / r));
-  }
-  return worst;
-}
-
 }  // namespace ihw::quality

@@ -16,8 +16,5 @@ double wed(const common::GridF& ref, const common::GridF& test);
 /// the reference grid's own range).
 double psnr(const common::GridF& ref, const common::GridF& test,
             double peak = 0.0);
-/// Maximum relative error over cells where |ref| > eps.
-double max_rel_error(const common::GridF& ref, const common::GridF& test,
-                     double eps = 1e-30);
 
 }  // namespace ihw::quality

@@ -135,4 +135,52 @@ std::pair<std::vector<T>, std::vector<T>> field_pairs(
   return pairs;
 }
 
+/// The multipliers' carry edge, as significand pairs (ma, mb): 24-bit
+/// integers 2^23 + f, so that 1.fa x 1.fb = ma * mb / 2^46 and the product
+/// carries (reaches 2) at ma * mb = 2^47. For `n` values of ma -- fa = 0,
+/// fa all ones, then draws from `seed` -- the pairs are every mb with
+/// ma * mb in [2^47 - 2^24, 2^47), the top two ulps below 2, whose upper
+/// part rounds to nearest as exactly 2.0 although it does not carry; the
+/// first mb with ma * mb >= 2^47 (no 24-bit pair makes 2^47 itself, so
+/// these two bracket the boundary); mb = 2^23 (fb = 0), an exact product;
+/// and one random mb.
+inline std::vector<std::pair<std::uint32_t, std::uint32_t>>
+carry_edge_significands(std::size_t n, std::uint64_t seed) {
+  constexpr std::uint64_t kLo = std::uint64_t{1} << 23, kHi = kLo << 1;
+  constexpr std::uint64_t kTwo = std::uint64_t{1} << 47;
+  std::mt19937_64 rng(seed);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t ma = i == 0 ? kLo : i == 1 ? kHi - 1 : kLo + rng() % kLo;
+    const auto add = [&](std::uint64_t mb) {
+      if (mb < kHi) pairs.emplace_back(std::uint32_t(ma), std::uint32_t(mb));
+    };
+    const std::uint64_t carry = (kTwo + ma - 1) / ma;
+    for (std::uint64_t mb = (kTwo - kHi + ma - 1) / ma; mb <= carry; ++mb)
+      add(mb);
+    add(kLo);
+    add(kLo + rng() % kLo);
+  }
+  return pairs;
+}
+
+/// carry_edge_significands as float operand pairs, two spans: each
+/// significand with a random sign and an exponent within 2^+-20, so that
+/// every product stays inside the normal range.
+inline std::pair<std::vector<float>, std::vector<float>> carry_edge_operands(
+    std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed + 1);
+  const auto operand = [&](std::uint32_t m) {
+    const auto e = static_cast<std::uint32_t>(127 - 20 + rng() % 41);
+    return fp::from_bits<float>(static_cast<std::uint32_t>(rng() << 31) |
+                                (e << 23) | (m & 0x7FFFFFu));
+  };
+  std::pair<std::vector<float>, std::vector<float>> spans;
+  for (const auto& [ma, mb] : carry_edge_significands(n, seed)) {
+    spans.first.push_back(operand(ma));
+    spans.second.push_back(operand(mb));
+  }
+  return spans;
+}
+
 }  // namespace ihw::test_operands

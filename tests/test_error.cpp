@@ -119,22 +119,6 @@ TEST(Characterize, TruncationShiftsPmfRight) {
   EXPECT_GT(b.stats.mean_rel(), a.stats.mean_rel());
 }
 
-TEST(Characterize, CustomDriverMatchesDirectComputation) {
-  int calls = 0;
-  const auto res = characterize_custom(
-      "halving", 1000,
-      [&](double* a, double* b) {
-        *a = 1.0 + (calls++ % 100) * 0.01;
-        *b = 2.0;
-      },
-      [](double a, double b) { return a * b * 0.95; },
-      [](double a, double b) { return a * b; });
-  EXPECT_EQ(res.stats.samples(), 1000u);
-  EXPECT_NEAR(res.stats.max_rel(), 0.05, 1e-9);
-  EXPECT_NEAR(res.stats.mean_rel(), 0.05, 1e-9);
-  EXPECT_DOUBLE_EQ(res.stats.error_rate(), 1.0);
-}
-
 TEST(Characterize, LabelsIncludeParameters) {
   EXPECT_EQ(characterize32(UnitKind::AcfpLog, 19, 10).label, "log_path(19)");
   EXPECT_EQ(characterize32(UnitKind::Rcp, 0, 10).label, "ircp");

@@ -6,7 +6,6 @@
 
 #include <cmath>
 
-#include "arith/mitchell.h"
 #include "common/rng.h"
 #include "gpu/simreal.h"
 #include "ihw/ihw.h"
@@ -60,51 +59,6 @@ TEST(Iexp2, DispatchRoutesByConfig) {
   cfg.exp2_enabled = true;
   EXPECT_EQ(FpDispatch{cfg}.op<Op::Exp2>(1.3f), iexp2(1.3f));
   EXPECT_NE(cfg.describe().find("exp2"), std::string::npos);
-}
-
-TEST(MitchellDiv, ErrorBoundedForRandomOperands) {
-  // Mitchell division error: 2^(x1-x2) vs piecewise-linear; relative error
-  // bounded by ~12.5% (overestimate side of the antilog segment).
-  common::Xoshiro256 rng(2003);
-  double max_rel = 0.0;
-  for (int i = 0; i < 300000; ++i) {
-    const std::uint64_t a = (rng() >> 40) | 1;
-    const std::uint64_t b = (rng() >> 44) | 1;
-    const double exact = static_cast<double>(a) / static_cast<double>(b);
-    const double approx =
-        std::ldexp(static_cast<double>(arith::mitchell_div(a, b)),
-                   -arith::kMaFracBits);
-    const double rel = std::fabs(approx - exact) / exact;
-    ASSERT_LE(rel, 0.126) << "a=" << a << " b=" << b;
-    max_rel = std::max(max_rel, rel);
-  }
-  EXPECT_GT(max_rel, 0.10);
-}
-
-TEST(MitchellDiv, ExactForPowerOfTwoRatios) {
-  for (int i = 0; i <= 20; ++i)
-    for (int j = 0; j <= 20; ++j) {
-      const double approx =
-          std::ldexp(static_cast<double>(
-                         arith::mitchell_div(1ull << i, 1ull << j)),
-                     -arith::kMaFracBits);
-      EXPECT_DOUBLE_EQ(approx, std::ldexp(1.0, i - j));
-    }
-}
-
-TEST(MitchellDiv, EqualOperandsGiveOne) {
-  common::Xoshiro256 rng(2004);
-  for (int i = 0; i < 50000; ++i) {
-    const std::uint64_t a = (rng() >> 40) | 1;
-    EXPECT_DOUBLE_EQ(
-        std::ldexp(static_cast<double>(arith::mitchell_div(a, a)),
-                   -arith::kMaFracBits),
-        1.0);
-  }
-}
-
-TEST(MitchellDiv, ZeroNumerator) {
-  EXPECT_EQ(arith::mitchell_div(0, 123), 0u);
 }
 
 TEST(MixedPrecision, ScopedPreciseCarvesExactRegions) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "bit_patterns.h"
 #include "common/rng.h"
 #include "gemm/feature_detect.h"
 #include "gemm/gemm.h"
@@ -345,6 +346,56 @@ TEST(GemmBitIdentity, PanelAOperandClasses) {
   for (auto& x : h) x = std::max(x, 0.0f);
   check(h, inputs(std::size_t(kK2) * kN2, 511), kM2, kN2, kK2,
         "ReLU-sparse A");
+}
+
+TEST(GemmBitIdentity, TruncCarryEdge) {
+  // The bit-truncated multiplier's carry edge (test_operands::
+  // carry_edge_operands) through the panel's shared-B step and its unsplit
+  // step. A is diagonal: row k holds one significand ma at step k,
+  // and B's row k holds ma's edge partners, so every C element is one edge
+  // product. A B panel with an infinity runs the unsplit step.
+  const auto [as, bs] = test_operands::carry_edge_operands(40, 61);
+  const auto frac = [](float x) { return fp::to_bits(x) & 0x7FFFFFu; };
+  std::vector<float> diag;
+  std::vector<std::vector<float>> partners;
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    if (i == 0 || frac(as[i]) != frac(as[i - 1])) {
+      diag.push_back(as[i]);
+      partners.emplace_back();
+    }
+    partners.back().push_back(bs[i]);
+  }
+  const int kK = int(diag.size()), kM = kK, kN = 17;
+  std::vector<float> A(std::size_t(kM) * kK, 0.0f), B(std::size_t(kK) * kN);
+  for (int k = 0; k < kK; ++k) {
+    A[std::size_t(k) * kK + k] = diag[k];
+    for (int j = 0; j < kN; ++j)
+      B[std::size_t(k) * kN + j] = partners[k][j % partners[k].size()];
+  }
+  std::vector<float> b_inf = B;
+  b_inf[kN - 1] = std::numeric_limits<float>::infinity();
+
+  for (const auto* b : {&B, &b_inf}) {
+    for (int trunc : {0, 12, 23}) {
+      FpContext ctx(IhwConfig::mul_only(MulMode::BitTruncated, trunc));
+      ScopedContext scope(ctx);
+      for (const auto& [acc_label, g] : accum_policies()) {
+        std::vector<float> ref(std::size_t(kM) * kN);
+        gemm::reference(A.data(), b->data(), ref.data(), kM, kN, kK, g);
+        for (simd::IsaLevel level :
+             {simd::IsaLevel::kScalar, simd::IsaLevel::kAvx2,
+              simd::IsaLevel::kAvx512}) {
+          simd::ScopedIsa forced(level);
+          std::vector<float> out(std::size_t(kM) * kN, 42.0f);
+          gemm::run(A.data(), b->data(), out.data(), kM, kN, kK, g);
+          ASSERT_TRUE(spans_identical(out, ref))
+              << "trunc " << trunc << " / " << acc_label
+              << (b == &B ? " shared-B step" : " unsplit step") << " under "
+              << simd::kernels().name;
+        }
+      }
+    }
+  }
 }
 
 TEST(GemmBitIdentity, DegenerateShapesAndTiles) {

@@ -88,17 +88,6 @@ TEST(Sobol, SeekMatchesSequentialAdvance) {
   }
 }
 
-TEST(Sobol, SkipAdvancesSequence) {
-  Sobol a(2), b(2);
-  double pa[2], pb[2];
-  a.skip(100);
-  for (int i = 0; i < 100; ++i) b.next(pb);
-  a.next(pa);
-  b.next(pb);
-  EXPECT_DOUBLE_EQ(pa[0], pb[0]);
-  EXPECT_DOUBLE_EQ(pa[1], pb[1]);
-}
-
 TEST(Sobol, RejectsBadDimensionCounts) {
   EXPECT_THROW(Sobol(0), std::invalid_argument);
   EXPECT_THROW(Sobol(9), std::invalid_argument);

@@ -38,7 +38,6 @@ TEST(GridMetrics, KnownValues) {
   EXPECT_DOUBLE_EQ(mae(a, b), 0.5);
   EXPECT_DOUBLE_EQ(mse(a, b), 1.0);
   EXPECT_DOUBLE_EQ(wed(a, b), 2.0);
-  EXPECT_DOUBLE_EQ(max_rel_error(a, b), 0.5);
 }
 
 TEST(GridMetrics, PsnrInfiniteForIdenticalAndFiniteOtherwise) {

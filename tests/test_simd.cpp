@@ -443,6 +443,56 @@ TEST(SimdAdder, TinyExponentSums) {
   }
 }
 
+// --- the bit-truncated multiplier's carry edge ------------------------------
+
+/// trunc_mul_n and trunc_mac_n on the multipliers' carry edge
+/// (test_operands::carry_edge_operands) under every supported SIMD level,
+/// each against the forced-scalar lane loop. The kernels take the product
+/// from a float multiply of 1.fa x 1.fb rounded toward zero; where a
+/// round-to-nearest product reaches exactly 2.0 below the carry, a kernel
+/// that read the carry from that rounded product would double the result.
+/// The generator's coverage of that edge is pinned too.
+TEST(SimdTruncMul, CarryEdge) {
+  constexpr std::size_t kMa = 4096;
+  constexpr std::uint64_t kTwo = std::uint64_t{1} << 47;
+  int rounds_to_two = 0, carries = 0, exact = 0;
+  for (const auto& [ma, mb] :
+       test_operands::carry_edge_significands(kMa, 41)) {
+    const std::uint64_t p = std::uint64_t{ma} * mb;
+    carries += p >= kTwo;
+    exact += ma == (1u << 23) || mb == (1u << 23);
+    rounds_to_two += p < kTwo && static_cast<float>(ma) * 0x1p-23f *
+                                         (static_cast<float>(mb) * 0x1p-23f) ==
+                                     2.0f;
+  }
+  EXPECT_GE(rounds_to_two, 1000);
+  EXPECT_GE(carries, 4000);
+  EXPECT_GE(exact, 4096);
+
+  const auto [a, b] = test_operands::carry_edge_operands(kMa, 41);
+  const std::size_t n = a.size();
+  const std::vector<float> zeros(n, 0.0f), rev(b.rbegin(), b.rend());
+  bool ran = false;
+  for (IsaLevel level : kVectorLevels) {
+    if (!simd::isa_supported(level)) continue;
+    ran = true;
+    LevelCheck check{level, a, b};
+    for (int trunc : {0, 1, 12, 23}) {
+      check("trunc_mul_n", [&](float* out) {
+        batch::trunc_mul_n(a.data(), b.data(), out, n, trunc);
+      });
+      for (const auto* c : {&zeros, &rev})
+        for (int th : {0, 1, 22, 27})
+          check("trunc_mac_n", [&](float* out) {
+            batch::trunc_mac_n(a.data(), b.data(), c->data(), out, n, trunc,
+                               th, 0);
+          });
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  if (!ran) GTEST_SKIP() << "no SIMD level supported on this host";
+}
+
 // --- the rsqrt segment over every fraction ----------------------------------
 
 /// irsqrt_n and isqrt_n under every supported SIMD level against the scalar

@@ -8,10 +8,13 @@ Each tests/mutants/*.patch (or each PATCH given) is a small diff that
 
     Mutant: what the patch breaks
       (indented lines continue it)
+    Needs: avx2 | avx512            (optional)
     Kills: [VAR=value ...] <test target> [test arguments ...]
 
 with one `Kills:` line per test run that must fail on the mutant. A test
-target is a CMake target whose binary lands in <build>/tests/.
+target is a CMake target whose binary lands in <build>/tests/. A mutant of
+one SIMD backend names it in `Needs:`: on a host whose CPU lacks it the
+tests skip that backend, so the mutant is reported as skipped, not run.
 
 The runner copies the tracked and untracked-but-not-ignored files of the
 repository into a scratch tree (a temporary directory, or --work), configures
@@ -41,9 +44,27 @@ def fail(msg, code=2):
     sys.exit(code)
 
 
+# cpuid flags (as /proc/cpuinfo names them) each Needs: value requires.
+ISA_FLAGS = {"avx2": {"avx2", "fma"},
+             "avx512": {"avx512f", "avx512bw", "avx512dq", "avx512vl"}}
+
+
+def host_has(isa):
+    """True when the host CPU reports every flag of `isa`."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("flags"):
+                    return ISA_FLAGS[isa] <= set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return False
+
+
 def parse_header(path):
-    """Returns (description, [(env, target, args)]) from a patch header."""
-    desc, kills = None, []
+    """Returns (description, needs, [(env, target, args)]) from a patch
+    header; needs is a Needs: value or None."""
+    desc, needs, kills = None, None, []
     with open(path) as f:
         for line in f:
             if line.startswith("diff --git"):
@@ -52,6 +73,10 @@ def parse_header(path):
                 desc = line.split(":", 1)[1].strip()
             elif line.startswith(" ") and desc is not None and not kills:
                 desc += " " + line.strip()
+            elif line.startswith("Needs:"):
+                needs = line.split(":", 1)[1].strip()
+                if needs not in ISA_FLAGS:
+                    fail(f"{path}: unknown Needs: {needs}")
             elif line.startswith("Kills:"):
                 words = shlex.split(line.split(":", 1)[1])
                 env = {}
@@ -63,7 +88,7 @@ def parse_header(path):
                 kills.append((env, words[0], words[1:]))
     if desc is None or not kills:
         fail(f"{path}: header needs a Mutant: line and at least one Kills:")
-    return desc, kills
+    return desc, needs, kills
 
 
 def copy_tree(dst):
@@ -130,7 +155,15 @@ def main():
         glob.glob(os.path.join(ROOT, "tests", "mutants", "*.patch")))
     if not patches:
         fail("no mutant patches found")
-    mutants = [(p, *parse_header(p)) for p in patches]
+    mutants = []
+    for p in patches:
+        desc, needs, kills = parse_header(p)
+        if needs and not host_has(needs):
+            print(f"skipped  {os.path.basename(p)}: host lacks {needs}")
+        else:
+            mutants.append((p, desc, kills))
+    if not mutants:
+        fail("no mutant runs on this host")
 
     work = args.work or tempfile.mkdtemp(prefix="ihw_mutants_")
     tree = os.path.join(work, "tree")
