@@ -271,6 +271,43 @@ BENCHMARK_CAPTURE(BM_SpanAddBatch, precise, IhwConfig::precise());
 BENCHMARK_CAPTURE(BM_SpanAddScalar, ifp, add_only_config());
 BENCHMARK_CAPTURE(BM_SpanAddBatch, ifp, add_only_config());
 
+// The precise rsqrt and mac spans: the kernel table's precise lanes at the
+// active ISA (as the /precise mul and add rows above), with no scalar pair
+// and no gate floor.
+void BM_SpanRsqrtBatch(benchmark::State& state, IhwConfig cfg) {
+  const auto a = inputs(kSpan, 15);
+  std::vector<float> out(kSpan);
+  gpu::FpContext ctx(cfg);
+  gpu::ScopedContext scope(ctx);
+  for (auto _ : state) {
+    gpu::batch_rsqrt(a.data(), out.data(), kSpan);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  label_isa(state);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSpan));
+}
+
+void BM_SpanMacBatch(benchmark::State& state, IhwConfig cfg) {
+  const auto a = inputs(kSpan, 11), b = inputs(kSpan, 12),
+             c = inputs(kSpan, 13);
+  std::vector<float> out(kSpan);
+  gpu::FpContext ctx(cfg);
+  gpu::ScopedContext scope(ctx);
+  for (auto _ : state) {
+    gpu::batch_mac(a.data(), b.data(), c.data(), out.data(), kSpan);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  label_isa(state);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kSpan));
+}
+
+BENCHMARK_CAPTURE(BM_SpanRsqrtBatch, precise, IhwConfig::precise());
+BENCHMARK_CAPTURE(BM_SpanMacBatch, precise, IhwConfig::precise());
+
 // --- QMC error-characterization sweep ---------------------------------------
 // The inner loop of error/characterize.cpp for the imprecise multiplier:
 // Sobol-scattered operands (generated once, outside the timed region, exactly

@@ -76,8 +76,9 @@ GuardedRunResult run_guarded_parallel(const ihw::IhwConfig& config,
 /// As run_guarded_parallel without pinning the process-wide worker count --
 /// the variant sweep points use. ScopedThreads mutates a process global, so
 /// the pinning overloads must not run concurrently; this one is safe inside
-/// runtime::parallel_tasks, where nested parallel regions on pool workers
-/// degrade to inline serial execution and the result stays bit-identical.
+/// runtime::parallel_tasks_capture, where nested parallel regions on pool
+/// workers degrade to inline serial execution and the result stays
+/// bit-identical.
 template <typename Body>
 GuardedRunResult run_guarded(const ihw::IhwConfig& config, Body&& body) {
   gpu::FpContext ctx(config);

@@ -25,7 +25,7 @@ void batch(T* out, std::size_t n, const In*... in) {
     for (OpClass k : R::counters) c->counters().bump(k, n);
     c->guarded().template op_n<O>(out, n, in...);
   } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = R::precise(in[i]...);
+    precise_n<O>(out, n, in...);
   }
 }
 

@@ -28,15 +28,15 @@ class FpDispatch {
   }
 
   /// The span form: out[i] = op<O>(in[i]...), with the configuration
-  /// resolved once for the whole span and the loop handed to batch.h. Every
-  /// element is bit-identical to op<O> at the same index. `out` may alias
-  /// any input.
+  /// resolved once for the whole span and the loop handed to the row's
+  /// imprecise span (batch.h) or to precise_n (op.h). Every element is
+  /// bit-identical to op<O> at the same index. `out` may alias any input.
   template <Op O, typename T, typename... In>
   void op_n(T* out, std::size_t n, const In*... in) const {
     using R = OpRow<O>;
     if (R::enabled(cfg_)) return R::imprecise_n(cfg_, out, n, in...);
     if constexpr (R::unfused) unfused_n(out, n, in...);
-    else for (std::size_t i = 0; i < n; ++i) out[i] = R::precise(in[i]...);
+    else precise_n<O>(out, n, in...);
   }
 
   // Named entry points: one-line spellings of op<O> / op_n<O>.
@@ -69,14 +69,17 @@ class FpDispatch {
   T unfused(T a, T b, T c) const { return op<Op::Add>(op<Op::Mul>(a, b), c); }
 
   /// Span form of unfused(): the fused mac kernel when both stages are
-  /// imprecise, else two passes through a stack tile so each stage runs its
-  /// own configured span (ISO C++ forbids contracting the precise mul/add
-  /// pair, so the composition is bit-exact).
+  /// imprecise, the precise Mac row's span when both are precise, else two
+  /// passes through a stack tile so each stage runs its own configured span
+  /// (ISO C++ forbids contracting the precise mul/add pair, so the
+  /// composition is bit-exact).
   template <typename T>
   void unfused_n(T* out, std::size_t n, const T* a, const T* b,
                  const T* c) const {
     using Mac = OpRow<Op::Mac>;
     if (Mac::enabled(cfg_)) return Mac::imprecise_n(cfg_, out, n, a, b, c);
+    if (!OpRow<Op::Mul>::enabled(cfg_) && !OpRow<Op::Add>::enabled(cfg_))
+      return precise_n<Op::Mac>(out, n, a, b, c);
     constexpr std::size_t kTile = 256;
     T tmp[kTile];
     for (std::size_t i = 0; i < n; i += kTile) {

@@ -7,13 +7,23 @@
 // gpu::batch and SimReal each keep one body templated on Op that reads them
 // (DESIGN.md §10). Fma and Mac are the composite (`unfused`) rows: with their
 // fused unit off they run the configured mul unit, then the add unit.
+//
+// precise_n<O> is the span form of row O's precise, one body for every row:
+// a float span of a row whose precise op is correctly rounded IEEE -- all
+// but Log2 and Exp2, whose libm results no vector form reproduces -- runs
+// the kernel table's precise_f32 lane (simd/isa.h), which has the scalar
+// op's bits; every other span, and every span on a null slot, runs the
+// scalar loop.
 #include <cmath>
 #include <cstddef>
+#include <optional>
+#include <type_traits>
 
 #include "fault/spec.h"
 #include "gpu/counters.h"
 #include "ihw/batch.h"
 #include "ihw/config.h"
+#include "ihw/simd/isa.h"
 
 namespace ihw {
 
@@ -27,6 +37,41 @@ inline constexpr int kNumOps = static_cast<int>(Op::Mac) + 1;
 inline int add_th(const IhwConfig& c) { return c.add_th < 1 ? 1 : c.add_th; }
 
 template <Op O> struct OpRow;
+
+/// The precise_f32 lane of row O's precise op; none for Log2 and Exp2,
+/// whose libm results are not correctly rounded.
+constexpr std::optional<simd::PreciseOp> precise_lane(Op o) {
+  using P = simd::PreciseOp;
+  switch (o) {
+    case Op::Add: return P::kAdd;
+    case Op::Sub: return P::kSub;
+    case Op::Mul: return P::kMul;
+    case Op::Div: return P::kDiv;
+    case Op::Rcp: return P::kRcp;
+    case Op::Rsqrt: return P::kRsqrt;
+    case Op::Sqrt: return P::kSqrt;
+    case Op::Fma:
+    case Op::Mac: return P::kMac;
+    case Op::Log2:
+    case Op::Exp2: break;
+  }
+  return std::nullopt;
+}
+
+/// out[i] = OpRow<O>::precise(in[i]...); `out` may alias any input. A float
+/// span of a row with a precise lane runs it on the active kernel table
+/// where the slot is not null.
+template <Op O, typename T, typename... In>
+void precise_n(T* out, std::size_t n, const In*... in) {
+  constexpr auto lane = precise_lane(O);
+  if constexpr (std::is_same_v<T, float> && lane.has_value()) {
+    if (auto* k = simd::kernels().precise_f32) {
+      const float* x[3] = {in...};
+      return k(*lane, x[0], x[1], x[2], out, n);
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) out[i] = OpRow<O>::precise(in[i]...);
+}
 
 /// The shape of a one-unit row; `On` is the unit's enable flag (Mul, whose
 /// knob is a MulMode, defines its own `enabled`).

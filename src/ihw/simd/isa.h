@@ -47,6 +47,14 @@ enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// Multiplier datapath of a mac_panel_f32 chain.
 enum class PanelMul : int { kPrecise, kIfp, kAcfpLog, kAcfpFull, kTrunc };
 
+/// Lane of a precise_f32 call: the correctly rounded IEEE operation of one
+/// precise op-table row. kRcp is 1/x, kRsqrt 1/sqrt(x) (a root, then a
+/// divide) and kMac a multiply, then an add, rounded twice (the precise Mac
+/// row and the unfused precise Fma row).
+enum class PreciseOp : int {
+  kAdd, kSub, kMul, kDiv, kRcp, kRsqrt, kSqrt, kMac
+};
+
 /// The accumulation chain of one mac_panel_f32 call, resolved as for the
 /// *_mac_f32 entries: `keep` is the multiplier's fraction keep-mask, `th` is
 /// 0 (precise accumulate masked by `acc_keep`) or pre-clamped to
@@ -72,17 +80,22 @@ struct PanelChain {
 /// The kernels cover every float multiplier datapath (ifp_mul, the Mitchell
 /// log and full paths of acfp_mul, trunc_mul), the TH-adder, each multiplier
 /// fused with the accumulate stage, and the SFU linear segments ircp, irsqrt
-/// and isqrt. ifp_div, ilog2 and iexp2 have no slot yet. Two slots are not
-/// units. mac_panel_f32 is the tile-GEMM inner kernel (DESIGN.md §16): every
-/// multiplier, the precise one included, into every accumulator policy, with
-/// a block of C rows held in registers across the whole k loop of a packed
-/// B panel and, for the imprecise multipliers, the block's A operands split
-/// into their fields once per chunk of k steps for every column vector.
-/// relax_row_f64 runs the interior cells of one row of one sweep of
-/// the HotSpot steady-state relaxation (apps::relax_to_steady_state) in
-/// double, with each divide by the three loop-invariant thermal resistances
-/// replaced by an FMA-corrected reciprocal product that is exactly the
-/// rounded quotient, so the field keeps its bits (DESIGN.md §10).
+/// and isqrt. ifp_div, ilog2 and iexp2 have no slot yet. Three slots are
+/// not units. precise_f32 runs the precise rows of the op table (ihw/op.h)
+/// that are correctly rounded IEEE operations, one PreciseOp lane per span,
+/// so each lane has exactly the bits of the host's scalar operation (a NaN's
+/// payload aside); precise log2 and exp2 stay on libm, which is not
+/// correctly rounded. mac_panel_f32 is the tile-GEMM inner kernel (DESIGN.md
+/// §16): every multiplier, the precise one included, into every accumulator
+/// policy, with a block of C rows held in registers across the whole k loop
+/// of a packed B panel and, for the imprecise multipliers, the block's A
+/// operands split into their fields once per chunk of k steps for every
+/// column vector. relax_row_f64 runs the interior cells of one row of one
+/// sweep of the HotSpot steady-state relaxation
+/// (apps::relax_to_steady_state) in double, with each divide by the three
+/// loop-invariant thermal resistances replaced by an FMA-corrected
+/// reciprocal product that is exactly the rounded quotient, so the field
+/// keeps its bits (DESIGN.md §10).
 ///
 /// Signatures mirror the batch.h span wrappers with the per-span parameter
 /// resolution already done by the caller: `th` arrives pre-clamped to
@@ -96,7 +109,9 @@ struct PanelChain {
 /// south[i] and power[i], so row[-1] and row[n] must be readable.
 /// mac_panel_f32 runs, for r < m and j < jn, c[r*ldc + j] = acc(mul(a[r*lda
 /// + k], b[k*jn + j]), c[r*ldc + j]) for k = 0 .. kn-1 in ascending order,
-/// with the chain's parameters in a PanelChain.
+/// with the chain's parameters in a PanelChain. precise_f32 reads as many of
+/// a, b, c as its lane has operands (a for the unary lanes) and leaves the
+/// rest alone; out may alias any of them.
 struct KernelTable {
   const char* name = "scalar";
   void (*ifp_add_f32)(const float* a, const float* b, float* out,
@@ -132,6 +147,8 @@ struct KernelTable {
                         float* c, std::size_t ldc, std::size_t m,
                         std::size_t kn, std::size_t jn,
                         const PanelChain& chain) = nullptr;
+  void (*precise_f32)(PreciseOp op, const float* a, const float* b,
+                      const float* c, float* out, std::size_t n) = nullptr;
 };
 
 /// Canonical lowercase name ("scalar", "avx2", "avx512").

@@ -8,14 +8,17 @@
 // bit identity with the lanes input-exhaustively. The relaxation row has no
 // lane: it matches the divide loop of apps::relax_row by Markstein's
 // theorem, and test_simd checks it on every row length up to 40 and on
-// 10^7 fuzzed quotients.
+// 10^7 fuzzed quotients. The precise rows are the host's own correctly
+// rounded float instructions, so they match OpRow<O>::precise by IEEE 754;
+// test_batch checks them on every span length up to 40.
 // T is an ISA shim -- kernels_avx2.cpp, kernels_avx512.cpp -- that supplies
 // the lane vector V, the compare-result type M and about 25 always-inline
 // intrinsic wrappers:
 //
 //   load store set1 and_ or_ xor_ add sub srli slli srlv sllv max min
 //   eq gt mand mor mandnot none sel zero_if add_carry ps_bits mul_rz
-//   add_ps mul_ps add_cut seg_dp, and kLanes (lanes per V)
+//   add_ps sub_ps mul_ps div_ps sqrt_ps add_cut seg_dp, and kLanes (lanes
+//   per V)
 //
 // and, for the double-precision work (relax_row_f64 and the wide GEMM
 // accumulator), the double lane vector D, its compare result DM and a dozen
@@ -804,6 +807,40 @@ struct Kernels {
     std::memcpy(out + i, o, m * sizeof(double));
   }
 
+  // --- precise op-table rows -------------------------------------------------
+
+  /// out[i] = OpRow<O>::precise of lane `op` on a[i] (and b[i], c[i]), the
+  /// lane resolved once per span. Each is the correctly rounded IEEE
+  /// instruction the scalar row compiles to, on more lanes, so the bits
+  /// agree everywhere but in a NaN's payload; -ffp-contract=off keeps kMac's
+  /// multiply and add two roundings.
+  static void precise_f32(PreciseOp op, const float* a, const float* b,
+                          const float* c, float* out, std::size_t n) {
+    const V one = T::set1(kOneBits);
+    switch (op) {
+      case PreciseOp::kAdd:
+        return drive(out, n, [](V x, V y) { return T::add_ps(x, y); }, a, b);
+      case PreciseOp::kSub:
+        return drive(out, n, [](V x, V y) { return T::sub_ps(x, y); }, a, b);
+      case PreciseOp::kMul:
+        return drive(out, n, [](V x, V y) { return T::mul_ps(x, y); }, a, b);
+      case PreciseOp::kDiv:
+        return drive(out, n, [](V x, V y) { return T::div_ps(x, y); }, a, b);
+      case PreciseOp::kRcp:
+        return drive(out, n, [one](V x) { return T::div_ps(one, x); }, a);
+      case PreciseOp::kRsqrt:
+        return drive(
+            out, n, [one](V x) { return T::div_ps(one, T::sqrt_ps(x)); }, a);
+      case PreciseOp::kSqrt:
+        return drive(out, n, [](V x) { return T::sqrt_ps(x); }, a);
+      case PreciseOp::kMac:
+        return drive(
+            out, n,
+            [](V x, V y, V z) { return T::add_ps(T::mul_ps(x, y), z); }, a,
+            b, c);
+    }
+  }
+
   // --- span driver and table entries ----------------------------------------
 
   /// out[i..] = lane(in[i..]...) one vector at a time. The ragged tail runs
@@ -914,7 +951,8 @@ struct Kernels {
             .irsqrt_f32 = &irsqrt_f32,
             .isqrt_f32 = &isqrt_f32,
             .relax_row_f64 = &relax_row_f64,
-            .mac_panel_f32 = &mac_panel_f32};
+            .mac_panel_f32 = &mac_panel_f32,
+            .precise_f32 = &precise_f32};
   }
 };
 

@@ -91,19 +91,24 @@ struct Avx2 {
     return add(_mm256_castps_si256(p), _mm256_srai_epi32(r, 31));
   }
 
-  /// Precise float add of the lane bit patterns; *nan flags NaN sums.
-  IHW_SHIM V add_ps(V a, V b, M* nan) {
-    const __m256 s =
-        _mm256_add_ps(_mm256_castsi256_ps(a), _mm256_castsi256_ps(b));
-    *nan = _mm256_castps_si256(_mm256_cmp_ps(s, s, _CMP_UNORD_Q));
-    return _mm256_castps_si256(s);
+  /// The lane bit patterns as floats, and back.
+  IHW_SHIM __m256 ps(V v) { return _mm256_castsi256_ps(v); }
+  IHW_SHIM V bits(__m256 x) { return _mm256_castps_si256(x); }
+
+  /// Precise float add of the lane bit patterns; *nan, if asked for, flags
+  /// NaN sums.
+  IHW_SHIM V add_ps(V a, V b, M* nan = nullptr) {
+    const __m256 s = _mm256_add_ps(ps(a), ps(b));
+    if (nan != nullptr) *nan = bits(_mm256_cmp_ps(s, s, _CMP_UNORD_Q));
+    return bits(s);
   }
 
-  /// Bits of the precise float product of the lane bit patterns.
-  IHW_SHIM V mul_ps(V a, V b) {
-    return _mm256_castps_si256(
-        _mm256_mul_ps(_mm256_castsi256_ps(a), _mm256_castsi256_ps(b)));
-  }
+  // Bits of the precise float difference, product, quotient and square
+  // root of the lane bit patterns.
+  IHW_SHIM V sub_ps(V a, V b) { return bits(_mm256_sub_ps(ps(a), ps(b))); }
+  IHW_SHIM V mul_ps(V a, V b) { return bits(_mm256_mul_ps(ps(a), ps(b))); }
+  IHW_SHIM V div_ps(V a, V b) { return bits(_mm256_div_ps(ps(a), ps(b))); }
+  IHW_SHIM V sqrt_ps(V a) { return bits(_mm256_sqrt_ps(ps(a))); }
 
   /// The SFUs' double segment (Kernels<T>::ircp, rsqrt_seg) as two 4-lane
   /// halves: the bits of (float)(approx * 2^yexp), where xr = (1 +

@@ -90,19 +90,24 @@ struct Avx512 {
                             _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC));
   }
 
-  /// Precise float add of the lane bit patterns; *nan flags NaN sums.
-  IHW_SHIM V add_ps(V a, V b, M* nan) {
-    const __m512 s =
-        _mm512_add_ps(_mm512_castsi512_ps(a), _mm512_castsi512_ps(b));
-    *nan = _mm512_cmp_ps_mask(s, s, _CMP_UNORD_Q);
-    return _mm512_castps_si512(s);
+  /// The lane bit patterns as floats, and back.
+  IHW_SHIM __m512 ps(V v) { return _mm512_castsi512_ps(v); }
+  IHW_SHIM V bits(__m512 x) { return _mm512_castps_si512(x); }
+
+  /// Precise float add of the lane bit patterns; *nan, if asked for, flags
+  /// NaN sums.
+  IHW_SHIM V add_ps(V a, V b, M* nan = nullptr) {
+    const __m512 s = _mm512_add_ps(ps(a), ps(b));
+    if (nan != nullptr) *nan = _mm512_cmp_ps_mask(s, s, _CMP_UNORD_Q);
+    return bits(s);
   }
 
-  /// Bits of the precise float product of the lane bit patterns.
-  IHW_SHIM V mul_ps(V a, V b) {
-    return _mm512_castps_si512(
-        _mm512_mul_ps(_mm512_castsi512_ps(a), _mm512_castsi512_ps(b)));
-  }
+  // Bits of the precise float difference, product, quotient and square
+  // root of the lane bit patterns.
+  IHW_SHIM V sub_ps(V a, V b) { return bits(_mm512_sub_ps(ps(a), ps(b))); }
+  IHW_SHIM V mul_ps(V a, V b) { return bits(_mm512_mul_ps(ps(a), ps(b))); }
+  IHW_SHIM V div_ps(V a, V b) { return bits(_mm512_div_ps(ps(a), ps(b))); }
+  IHW_SHIM V sqrt_ps(V a) { return bits(_mm512_sqrt_ps(ps(a))); }
 
   /// The SFUs' double segment (Kernels<T>::ircp, rsqrt_seg) as two 8-lane
   /// halves: the bits of (float)(approx * 2^yexp), where xr = (1 +

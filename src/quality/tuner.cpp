@@ -1,10 +1,5 @@
 #include "quality/tuner.h"
 
-#include <cstddef>
-#include <utility>
-
-#include "runtime/parallel.h"
-
 namespace ihw::quality {
 namespace {
 
@@ -78,27 +73,6 @@ void push_unique(std::vector<ihw::IhwConfig>& cands, const ihw::IhwConfig& c) {
   cands.push_back(c);
 }
 
-// Builds a TuneResult whose history is the prefix of `steps` through the
-// first constraint-satisfying step (all of them if none satisfies) -- the
-// exact stream the sequential walk produces, since it stops there too.
-TuneResult result_from_prefix(std::vector<TuneStep>&& steps) {
-  TuneResult res;
-  std::size_t last = steps.size();  // one past the final reported step
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    if (steps[i].met_constraint) {
-      last = i + 1;
-      break;
-    }
-  }
-  steps.resize(last);
-  res.history = std::move(steps);
-  const TuneStep& fin = res.history.back();
-  res.config = fin.config;
-  res.quality = fin.quality;
-  res.satisfied = fin.met_constraint;
-  return res;
-}
-
 }  // namespace
 
 std::vector<ihw::IhwConfig> backoff_candidates(
@@ -107,50 +81,25 @@ std::vector<ihw::IhwConfig> backoff_candidates(
   ihw::IhwConfig cfg = most_aggressive;
   for (const Knob knob : kBackoffOrder)
     if (knob(cfg)) push_unique(cands, cfg);
-  // The sequential loop's last resort: if backing everything off still
-  // leaves an imprecise unit enabled, fall back to fully precise hardware.
+  // The loop's last resort: if backing everything off still leaves an
+  // imprecise unit enabled, fall back to fully precise hardware.
   if (cfg.any_enabled()) push_unique(cands, ihw::IhwConfig::precise());
   return cands;
 }
 
 TuneResult tune(const QualityEval& eval, double quality_constraint,
                 const ihw::IhwConfig& most_aggressive) {
-  std::vector<TuneStep> steps;
+  TuneResult res;
   for (const ihw::IhwConfig& c : backoff_candidates(most_aggressive)) {
-    TuneStep step;
-    step.config = c;
-    step.quality = eval(c);
-    step.met_constraint = step.quality >= quality_constraint;
-    steps.push_back(std::move(step));
-    if (steps.back().met_constraint) break;
+    const double q = eval(c);
+    res.history.push_back({c, q, q >= quality_constraint});
+    if (res.history.back().met_constraint) break;
   }
-  return result_from_prefix(std::move(steps));
-}
-
-TuneResult tune_speculative(const QualityEval& eval, double quality_constraint,
-                            const ihw::IhwConfig& most_aggressive,
-                            int threads) {
-  const std::vector<ihw::IhwConfig> cands = backoff_candidates(most_aggressive);
-  std::vector<TuneStep> steps(cands.size());
-  runtime::parallel_tasks(
-      cands.size(),
-      [&](std::size_t i) {
-        steps[i].config = cands[i];
-        steps[i].quality = eval(cands[i]);
-        steps[i].met_constraint = steps[i].quality >= quality_constraint;
-      },
-      threads);
-  return result_from_prefix(std::move(steps));
-}
-
-TuneResult tune_speculative(const QualityEval& eval, double quality_constraint,
-                            const ihw::IhwConfig& most_aggressive,
-                            const fault::FaultConfig& faults,
-                            const fault::GuardPolicy& guard, int threads) {
-  ihw::IhwConfig start = most_aggressive;
-  start.faults = faults;
-  start.guard = guard;
-  return tune_speculative(eval, quality_constraint, start, threads);
+  const TuneStep& fin = res.history.back();
+  res.config = fin.config;
+  res.quality = fin.quality;
+  res.satisfied = fin.met_constraint;
+  return res;
 }
 
 TuneResult tune(const QualityEval& eval, double quality_constraint,

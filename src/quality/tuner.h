@@ -51,27 +51,10 @@ TuneResult tune(const QualityEval& eval, double quality_constraint,
 /// configuration, every distinct back-off step, and the fully precise
 /// fallback when the ladder does not already end there. The back-off knobs
 /// only inspect configuration state -- never evaluation results -- which is
-/// what makes the ladder computable up front and the speculative variant
-/// below exact. No two entries are equal (DESIGN.md §11: the tuning loop
-/// never evaluates the same configuration twice).
+/// what makes the ladder computable up front. No two entries are equal
+/// (DESIGN.md §11: the tuning loop never evaluates the same configuration
+/// twice).
 std::vector<ihw::IhwConfig> backoff_candidates(
     const ihw::IhwConfig& most_aggressive);
-
-/// Speculative parallel tuning: evaluates the whole candidate ladder
-/// concurrently across the thread pool (`threads`, 0 = process default) and
-/// returns exactly the TuneResult tune() would -- same final config, same
-/// quality, same history prefix (candidates past the first satisfying one
-/// are discarded, not reported). `eval` must be safe to call from multiple
-/// threads at once; evaluations of later candidates may run even when an
-/// earlier candidate satisfies the constraint (that is the speculation).
-TuneResult tune_speculative(const QualityEval& eval, double quality_constraint,
-                            const ihw::IhwConfig& most_aggressive,
-                            int threads = 0);
-
-/// Speculative tuning under a fault model (see the faulted tune overload).
-TuneResult tune_speculative(const QualityEval& eval, double quality_constraint,
-                            const ihw::IhwConfig& most_aggressive,
-                            const fault::FaultConfig& faults,
-                            const fault::GuardPolicy& guard, int threads = 0);
 
 }  // namespace ihw::quality

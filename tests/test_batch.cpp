@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <type_traits>
 #include <utility>
@@ -28,6 +29,7 @@
 #include "ihw/batch.h"
 #include "ihw/dispatch.h"
 #include "ihw/op.h"
+#include "ihw/simd/isa.h"
 #include "runtime/parallel.h"
 #include "sfu_reference.h"
 
@@ -41,6 +43,8 @@ using gpu::FpContext;
 using gpu::OpClass;
 using gpu::ScopedContext;
 using gpu::SimFloat;
+using simd::IsaLevel;
+using simd::ScopedIsa;
 using test_operands::fuzz_operands;
 
 template <typename T>
@@ -709,6 +713,144 @@ TEST(OpTable, MacAddThBelowOneClampsLikeScalarFloat) {
 }
 TEST(OpTable, MacAddThBelowOneClampsLikeScalarDouble) {
   run_mac_th_clamp<double>();
+}
+
+// --- precise rows on the kernel table ---------------------------------------
+// A precise float span runs the kernel table's precise_f32 lane of its row
+// (op.h): each lane must give the scalar row's bits on every operand class,
+// every span length up to 40 (every ragged tail of both vector widths) and
+// with `out` aliasing each input, at every ISA level the host runs.
+
+/// Every IEEE class a precise lane must carry through, both signs of each:
+/// zeros, the smallest and a mid-range subnormal, FLT_MIN, FLT_MAX,
+/// infinities, quiet and signalling NaNs with payloads, and plain normals.
+/// The negative operands put sqrt and rsqrt on their NaN path.
+std::vector<float> precise_classes() {
+  using L = std::numeric_limits<float>;
+  std::vector<float> v;
+  for (float x : {0.0f, L::denorm_min(), 3.0e-39f, L::min(), L::max(),
+                  L::infinity(), 1.0f, 1.5f, 0.1f, 3.0f, 7.0e20f, 2.5e-30f,
+                  L::quiet_NaN(), fp::from_bits<float>(0x7FC12345u),
+                  fp::from_bits<float>(0x7F800001u)}) {
+    v.push_back(x);
+    v.push_back(-x);
+  }
+  return v;
+}
+
+/// Operand spans for the precise rows: every class against every class in
+/// (a, b), with c cycling through the classes at another stride, then
+/// fuzzed bit patterns and positive normals, whose roundings tell a
+/// twice-rounded mac from a fused one and 1/sqrt(x) from sqrt(1/x).
+struct PreciseOperands {
+  std::vector<float> a, b, c;
+};
+
+PreciseOperands precise_operands() {
+  const std::vector<float> cls = precise_classes();
+  const std::size_t k = cls.size();
+  PreciseOperands in;
+  for (std::size_t i = 0; i < k * k; ++i) {
+    in.a.push_back(cls[i % k]);
+    in.b.push_back(cls[i / k]);
+    in.c.push_back(cls[(i * 7 + i / k) % k]);
+  }
+  for (std::uint64_t seed : {51, 52}) {
+    const auto a = mixed_operands<float>(2048, seed),
+               b = mixed_operands<float>(2048, seed + 10),
+               c = mixed_operands<float>(2048, seed + 20);
+    in.a.insert(in.a.end(), a.begin(), a.end());
+    in.b.insert(in.b.end(), b.begin(), b.end());
+    in.c.insert(in.c.end(), c.begin(), c.end());
+  }
+  return in;
+}
+
+/// Runs span(out, len, in...) on [off, off + len) of the operands into a
+/// buffer of exactly len elements: prefilled with a sentinel when alias is
+/// 0, else a copy of input alias - 1 passed in that input's place. The
+/// result is checked against `want` with same_value: bits on every lane
+/// that is not NaN, and any NaN where the scalar row gives a NaN.
+template <Op O, typename Span>
+testing::AssertionResult precise_span_matches(const Span& span,
+                                              const PreciseOperands& in,
+                                              const std::vector<float>& want,
+                                              std::size_t off, std::size_t len,
+                                              int alias) {
+  const float* x[3] = {in.a.data() + off, in.b.data() + off,
+                       in.c.data() + off};
+  std::vector<float> out(len, -7.0f);
+  if (alias > 0) {
+    std::copy_n(x[alias - 1], len, out.data());
+    x[alias - 1] = out.data();
+  }
+  with_arity<O>([&](auto... p) { span(out.data(), len, p...); }, x[0], x[1],
+                x[2]);
+  for (std::size_t i = 0; i < len; ++i) {
+    if (!same_value(out[i], want[off + i]))
+      return testing::AssertionFailure()
+             << "off " << off << " len " << len << " alias " << alias
+             << " lane " << i << ": a=" << in.a[off + i]
+             << " b=" << in.b[off + i] << " c=" << in.c[off + i] << " got "
+             << out[i] << " want " << want[off + i];
+  }
+  return testing::AssertionSuccess();
+}
+
+/// One precise row through precise_n<O> and FpDispatch::op_n under
+/// the precise config, at every ISA level the host runs: the whole operand
+/// set as one span, then eight spans of every length 1..40 at spread
+/// offsets, each with a separate out and with out aliasing every input.
+template <Op O>
+void check_precise_row(const PreciseOperands& in) {
+  using R = OpRow<O>;
+  SCOPED_TRACE(testing::Message() << "op " << static_cast<int>(O));
+  const std::size_t n = in.a.size();
+  std::vector<float> want(n);
+  for (std::size_t i = 0; i < n; ++i)
+    want[i] = with_arity<O>([](auto... x) { return R::precise(x...); },
+                            in.a[i], in.b[i], in.c[i]);
+  const FpDispatch d(IhwConfig::precise());
+  const auto row = [](float* o, std::size_t m, auto... p) {
+    precise_n<O>(o, m, p...);
+  };
+  const auto dispatch = [&d](float* o, std::size_t m, auto... p) {
+    d.op_n<O>(o, m, p...);
+  };
+  for (IsaLevel level :
+       {IsaLevel::kScalar, IsaLevel::kAvx2, IsaLevel::kAvx512}) {
+    if (!simd::isa_supported(level)) continue;
+    ScopedIsa isa(level);
+    SCOPED_TRACE(simd::isa_name(level));
+    if (level != IsaLevel::kScalar) {
+      EXPECT_NE(simd::kernels().precise_f32, nullptr);
+    }
+    for (int alias = 0; alias <= R::arity; ++alias) {
+      ASSERT_TRUE(precise_span_matches<O>(row, in, want, 0, n, alias));
+      ASSERT_TRUE(precise_span_matches<O>(dispatch, in, want, 0, n, alias));
+      for (std::size_t len = 1; len <= 40; ++len) {
+        for (std::size_t k = 0; k < 8; ++k) {
+          const std::size_t off = (k * 997 + len * 31) % (n - len);
+          ASSERT_TRUE(precise_span_matches<O>(row, in, want, off, len, alias));
+          ASSERT_TRUE(
+              precise_span_matches<O>(dispatch, in, want, off, len, alias));
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchPrecise, MatchesScalarRow) {
+  const PreciseOperands in = precise_operands();
+  check_precise_row<Op::Add>(in);
+  check_precise_row<Op::Sub>(in);
+  check_precise_row<Op::Mul>(in);
+  check_precise_row<Op::Div>(in);
+  check_precise_row<Op::Rcp>(in);
+  check_precise_row<Op::Rsqrt>(in);
+  check_precise_row<Op::Sqrt>(in);
+  check_precise_row<Op::Mac>(in);
+  check_precise_row<Op::Fma>(in);
 }
 
 }  // namespace

@@ -188,6 +188,8 @@ TEST(SimdDispatch, ActiveTableMatchesLevelAndScalarIsAllNull) {
   EXPECT_EQ(t.irsqrt_f32, nullptr);
   EXPECT_EQ(t.isqrt_f32, nullptr);
   EXPECT_EQ(t.relax_row_f64, nullptr);
+  EXPECT_EQ(t.mac_panel_f32, nullptr);
+  EXPECT_EQ(t.precise_f32, nullptr);
 }
 
 TEST(SimdDispatch, ForceClampsToSupportedAndRestores) {

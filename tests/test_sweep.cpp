@@ -358,8 +358,8 @@ TEST(Shared, ComputedExactlyOnceUnderConcurrency) {
     return 41 + 1;
   });
   EXPECT_FALSE(value.ready());
-  runtime::parallel_tasks(16, [&](std::size_t) { EXPECT_EQ(value.get(), 42); },
-                          4);
+  runtime::parallel_tasks_capture(
+      16, [&](std::size_t) { EXPECT_EQ(value.get(), 42); }, 4);
   EXPECT_EQ(builds.load(), 1);
   EXPECT_TRUE(value.ready());
 }

@@ -62,8 +62,8 @@ def run_bench(path, threads):
 
 
 def build_type(build):
-    """CMAKE_BUILD_TYPE cached in the build tree; "" when it was not set on
-    the command line (CMakeLists.txt then picks its own default)."""
+    """CMAKE_BUILD_TYPE cached in the build tree (CMakeLists.txt caches its
+    RelWithDebInfo default when none is given); "" when there is none."""
     try:
         with open(os.path.join(build, "CMakeCache.txt")) as f:
             for line in f:
